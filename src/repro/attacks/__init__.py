@@ -14,7 +14,6 @@ from .profiles import (
     ATTACK_PROFILES,
     AttackProfile,
     attack_profile,
-    normalize_attack_profile,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "AttackProfile",
     "ATTACK_PROFILES",
     "attack_profile",
-    "normalize_attack_profile",
 ]

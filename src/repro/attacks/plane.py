@@ -464,7 +464,7 @@ class AttackPlane:
                 f"{state.get('profile')!r}, not {self.name!r}"
             )
         rebuilt = [event.as_dict() for event in self.events]
-        if list(state.get("events", [])) != rebuilt:
+        if list(state["events"]) != rebuilt:
             raise CheckpointCorruptError(
                 "attack snapshot's event schedule does not match the "
                 "schedule rebuilt from (seed, profile); refusing to "
@@ -472,11 +472,11 @@ class AttackPlane:
             )
         saved_dns = {
             str(address): int(event_id)
-            for address, event_id in state.get("attacked_dns", [])
+            for address, event_id in state["attacked_dns"]
         }
         saved_http = {
             str(address): int(event_id)
-            for address, event_id in state.get("attacked_http", [])
+            for address, event_id in state["attacked_http"]
         }
         if saved_dns != self._attacked_dns or saved_http != self._attacked_http:
             raise CheckpointCorruptError(
@@ -484,10 +484,8 @@ class AttackPlane:
                 "the replayed world's; the snapshot belongs to a "
                 "different trajectory"
             )
-        if "surge" in state:
-            self._surge = float(state["surge"])
+        self._surge = float(state["surge"])
         self.tallies = {
             str(key): int(value) for key, value in state["tallies"]
         }
-        if "metrics" in state:
-            self.metrics.restore(state["metrics"])
+        self.metrics.restore(state["metrics"])

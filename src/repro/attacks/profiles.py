@@ -39,7 +39,6 @@ __all__ = [
     "AttackProfile",
     "ATTACK_PROFILES",
     "attack_profile",
-    "normalize_attack_profile",
 ]
 
 
@@ -243,14 +242,3 @@ def attack_profile(name: str) -> AttackProfile:
             f"unknown attack profile {name!r}; "
             f"known: {', '.join(sorted(ATTACK_PROFILES))} (or 'none')"
         ) from None
-
-
-def normalize_attack_profile(name: Optional[str]) -> Optional[str]:
-    """Map CLI/manifest spellings to a canonical profile name or None.
-
-    ``None`` and ``"none"`` both mean *no attacks*; anything else must
-    name a registered profile.
-    """
-    if name is None or name == "none":
-        return None
-    return attack_profile(name).name

@@ -10,7 +10,8 @@ same equivalence discipline ``repro chaos`` applies to fault profiles,
 pointed at the checkpoint plane itself.
 
 The matrix also exercises the refusal paths on the reference
-directory: mismatched seed and profile must raise
+directory: a mismatched seed, and a mismatched profile in each of the
+scenario's planes, must raise
 :class:`CheckpointMismatchError`, a torn journal tail must be
 *tolerated* (resume from the previous barrier, still byte-identical),
 and a corrupted snapshot must raise :class:`CheckpointCorruptError`.
@@ -18,6 +19,7 @@ and a corrupted snapshot must raise :class:`CheckpointCorruptError`.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -30,13 +32,18 @@ from ..errors import (
 )
 from ..faults.chaos import _collection_artifact, diff_artifacts
 from ..faults.crash import CRASH_MODES, CrashPlan
-from ..attacks.profiles import ATTACK_PROFILES
-from ..faults.profiles import PROFILES
-from ..traffic.profiles import TRAFFIC_PROFILES
+from ..scenario import FIELDS, REGISTRIES, Scenario
 from .runner import resume_study, run_checkpointed_study
 from .store import canonical_json, content_hash
 
 __all__ = ["study_artifact", "run_kill_matrix"]
+
+#: The refusal check that swaps in another profile for each scenario field.
+_MISMATCH_CHECKS = {
+    "faults": "mismatched-profile",
+    "traffic": "mismatched-traffic",
+    "attacks": "mismatched-attacks",
+}
 
 
 def study_artifact(report: StudyReport) -> Dict[str, object]:
@@ -74,13 +81,9 @@ def run_kill_matrix(
     """
     base = Path(base_dir)
     config = config if config is not None else StudyConfig()
+    scenario = Scenario(fault_profile, traffic_profile, attack_profile)
     inputs = dict(
-        population=population,
-        seed=seed,
-        config=config,
-        fault_profile=fault_profile,
-        traffic_profile=traffic_profile,
-        attack_profile=attack_profile,
+        population=population, seed=seed, config=config, **scenario.keywords()
     )
 
     if shards <= 1:
@@ -145,6 +148,7 @@ def run_kill_matrix(
     refusals = _refusal_checks(
         base / "reference",
         inputs,
+        scenario,
         reference_bytes,
         reopen,
         store_dir(base / "reference"),
@@ -155,9 +159,7 @@ def run_kill_matrix(
         "population": population,
         "seed": seed,
         "study_days": config.study_days,
-        "fault_profile": fault_profile,
-        "traffic_profile": traffic_profile,
-        "attack_profile": attack_profile,
+        **scenario.keywords(),
         "shards": shards,
         "reference_hash": content_hash(reference),
         "cases": cases,
@@ -196,6 +198,7 @@ def _crash_case(
 def _refusal_checks(
     reference_dir: Path,
     inputs: Dict[str, object],
+    scenario: Scenario,
     reference_bytes: str,
     reopen,
     store_dir: Path,
@@ -219,45 +222,19 @@ def _refusal_checks(
             reopen,
         )
     )
-    other_profile = sorted(
-        name for name in PROFILES if name != inputs["fault_profile"]
-    )[0]
-    wrong_profile = dict(inputs, fault_profile=other_profile)
-    checks.append(
-        _expect_refusal(
-            "mismatched-profile",
-            reference_dir,
-            wrong_profile,
-            CheckpointMismatchError,
-            reopen,
+    for field in FIELDS:
+        current = getattr(scenario, field)
+        other = sorted(name for name in REGISTRIES[field] if name != current)[0]
+        wrong = dict(inputs, **replace(scenario, **{field: other}).keywords())
+        checks.append(
+            _expect_refusal(
+                _MISMATCH_CHECKS[field],
+                reference_dir,
+                wrong,
+                CheckpointMismatchError,
+                reopen,
+            )
         )
-    )
-    other_traffic = sorted(
-        name for name in TRAFFIC_PROFILES if name != inputs["traffic_profile"]
-    )[0]
-    wrong_traffic = dict(inputs, traffic_profile=other_traffic)
-    checks.append(
-        _expect_refusal(
-            "mismatched-traffic",
-            reference_dir,
-            wrong_traffic,
-            CheckpointMismatchError,
-            reopen,
-        )
-    )
-    other_attack = sorted(
-        name for name in ATTACK_PROFILES if name != inputs["attack_profile"]
-    )[0]
-    wrong_attack = dict(inputs, attack_profile=other_attack)
-    checks.append(
-        _expect_refusal(
-            "mismatched-attacks",
-            reference_dir,
-            wrong_attack,
-            CheckpointMismatchError,
-            reopen,
-        )
-    )
 
     # Torn tail: a partial record (crash mid-append) must be discarded,
     # resuming from the previous barrier and still matching byte-for-byte.

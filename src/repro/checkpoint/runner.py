@@ -23,10 +23,9 @@ from pathlib import Path
 from typing import Optional
 
 from ..core.study import SixWeekStudy, StudyConfig, StudyReport, StudyRuntime
-from ..errors import CheckpointCorruptError, CheckpointError, SimulationError
+from ..errors import CheckpointError
 from ..faults.crash import CrashPlan
-from ..world.config import WorldConfig
-from ..world.internet import SimulatedInternet
+from ..scenario import Scenario
 from .serde import config_to_dict, restore_runtime, serialize_runtime
 from .store import CheckpointStore
 
@@ -49,21 +48,19 @@ def run_checkpointed_study(
     ``crash_plan`` injects a deterministic :class:`SimulatedCrash` at a
     chosen barrier — the kill-matrix's fault kind.  The checkpoint
     directory must be fresh; an existing run is resumed with
-    :func:`resume_study`, never silently overwritten.
+    :func:`resume_study`, never silently overwritten.  Profile names
+    are validated before the directory is touched.
     """
     config = config if config is not None else StudyConfig()
+    scenario = Scenario(fault_profile, traffic_profile, attack_profile)
     store = CheckpointStore.create(
         checkpoint_dir,
         seed=seed,
         population=population,
         config=config_to_dict(config),
-        fault_profile=fault_profile,
-        traffic_profile=traffic_profile,
-        attack_profile=attack_profile,
+        scenario=scenario,
     )
-    study, runtime = _begin(
-        population, seed, config, fault_profile, traffic_profile, attack_profile
-    )
+    study, runtime = scenario.begin_study(population, seed, config)
     return _drive(store, study, runtime, crash_plan, latest_barrier=-1)
 
 
@@ -88,14 +85,13 @@ def resume_study(
     measurements would silently diverge.
     """
     config = config if config is not None else StudyConfig()
+    scenario = Scenario(fault_profile, traffic_profile, attack_profile)
     store = CheckpointStore.open(checkpoint_dir)
     store.verify_inputs(
         seed=seed,
         population=population,
         config=config_to_dict(config),
-        fault_profile=fault_profile,
-        traffic_profile=traffic_profile,
-        attack_profile=attack_profile,
+        scenario=scenario,
     )
     record = store.latest()
     if record is None:
@@ -105,56 +101,14 @@ def resume_study(
         )
     state = store.load_snapshot(record)
 
-    study, runtime = _begin(
-        population, seed, config, fault_profile, traffic_profile, attack_profile
-    )
-    # Replay the world's measurement-independent dynamics day by day up
-    # to the snapshot's position, then overlay the measurement state.
-    for _ in range(int(state["day_index"])):
-        study.world.engine.run_day()
+    study, runtime = scenario.begin_study(population, seed, config)
     restore_runtime(study, runtime, state)
-    try:
-        study.world.clock.require(int(state["clock_now"]))
-    except SimulationError as exc:
-        raise CheckpointCorruptError(
-            f"replayed world clock drifted from the snapshot: {exc}"
-        ) from exc
     return _drive(
         store, study, runtime, crash_plan, latest_barrier=int(record["barrier"])
     )
 
 
 # -- internals -------------------------------------------------------------
-
-
-def _begin(
-    population: int,
-    seed: int,
-    config: StudyConfig,
-    fault_profile: Optional[str],
-    traffic_profile: Optional[str] = None,
-    attack_profile: Optional[str] = None,
-) -> "tuple[SixWeekStudy, StudyRuntime]":
-    """Deterministically rebuild world + study and begin the campaign.
-
-    The fault profile installs *after* warm-up, so its day-windowed
-    rules are relative to the same clock day on every rebuild — this is
-    what makes a resumed run's fault schedule identical to the
-    original's.  The traffic and attack planes install the same way:
-    post-warmup, so a resumed run regenerates the identical background
-    load and attack schedule before the snapshot overlays (and, for the
-    attack plane, cross-checks) the planes' exact state.
-    """
-    world = SimulatedInternet(WorldConfig(population_size=population, seed=seed))
-    study = SixWeekStudy(world, config)
-    runtime = study.begin()
-    if fault_profile is not None:
-        world.install_faults(fault_profile)
-    if traffic_profile is not None:
-        world.install_traffic(traffic_profile)
-    if attack_profile is not None:
-        world.install_attacks(attack_profile)
-    return study, runtime
 
 
 def _drive(

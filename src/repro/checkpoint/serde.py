@@ -25,8 +25,9 @@ from ..core.study import SixWeekStudy, StudyConfig, StudyRuntime
 from ..dns.message import Rcode
 from ..dns.name import DomainName
 from ..dps.portal import ReroutingMethod
-from ..errors import CheckpointCorruptError
+from ..errors import CheckpointCorruptError, SimulationError
 from ..net.ipaddr import IPv4Address
+from ..scenario import installed_planes
 
 __all__ = [
     "SERDE_REGISTRY",
@@ -232,7 +233,7 @@ def restore_report_partial(report, partial: Dict[str, object]) -> None:
     report.skipped_scan_weeks = [int(w) for w in partial["skipped_scan_weeks"]]
     report.partial_scan_weeks = {
         int(week): int(count)
-        for week, count in partial.get("partial_scan_weeks", [])
+        for week, count in partial["partial_scan_weeks"]
     }
     report.cloudflare_weekly = [
         _pipeline_from_dict(w) for w in partial["cloudflare_weekly"]
@@ -254,9 +255,6 @@ def serialize_runtime(study: SixWeekStudy, runtime: StudyRuntime) -> Dict[str, o
     restored state.
     """
     world = study.world
-    fault_plan = world.fabric.fault_plan
-    traffic_plane = world.fabric.traffic_plane
-    attack_plane = world.fabric.attack_plane
     return {
         "clock_now": world.clock.now,
         "day_index": runtime.day_index,
@@ -285,24 +283,24 @@ def serialize_runtime(study: SixWeekStudy, runtime: StudyRuntime) -> Dict[str, o
         "scan_pop_totals": sorted(
             [pop, count] for pop, count in runtime.scan_pop_totals.items()
         ),
-        "fault_plan": fault_plan.state_dict() if fault_plan is not None else None,
-        "traffic_plane": (
-            traffic_plane.state_dict() if traffic_plane is not None else None
-        ),
-        "attack_plane": (
-            attack_plane.state_dict() if attack_plane is not None else None
-        ),
+        "planes": {
+            field: plane.state_dict() if plane is not None else None
+            for field, plane in installed_planes(world).items()
+        },
     }
 
 
 def restore_runtime(
     study: SixWeekStudy, runtime: StudyRuntime, state: Dict[str, object]
 ) -> None:
-    """Overlay a barrier snapshot onto a freshly begun runtime.
+    """Replay a freshly begun runtime to a barrier snapshot and overlay it.
 
     ``runtime`` must come from :meth:`SixWeekStudy.begin` on a world
-    rebuilt with the checkpoint's inputs and replayed to the snapshot's
-    ``day_index`` — this function restores the measurement layer only.
+    rebuilt with the checkpoint's inputs.  The world's
+    measurement-independent dynamics replay ``day_index`` engine days,
+    the measurement layer is restored from the snapshot, and the
+    replayed clock must land exactly where the snapshot says — drift
+    means the two processes did not share a trajectory.
     """
     if int(state["study_start_day"]) != runtime.study_start_day:
         raise CheckpointCorruptError(
@@ -310,6 +308,8 @@ def restore_runtime(
             f"but the snapshot was taken in a study starting at day "
             f"{state['study_start_day']}"
         )
+    for _ in range(int(state["day_index"])):
+        study.world.engine.run_day()
     runtime.day_index = int(state["day_index"])
 
     restore_report_partial(runtime.report, state["report"])
@@ -334,45 +334,21 @@ def restore_runtime(
         pop: int(count) for pop, count in state["scan_pop_totals"]
     }
 
-    fault_state = state["fault_plan"]
-    fault_plan = study.world.fabric.fault_plan
-    if (fault_state is None) != (fault_plan is None):
+    for field, plane in installed_planes(study.world).items():
+        _restore_optional(plane, state["planes"][field], f"{field} plane")
+    try:
+        study.world.clock.require(int(state["clock_now"]))
+    except SimulationError as exc:
         raise CheckpointCorruptError(
-            "snapshot and rebuilt world disagree about whether a fault "
-            "plan is installed"
-        )
-    if fault_plan is not None:
-        fault_plan.restore_state(fault_state)
-
-    # Old snapshots predate the traffic plane; their runs never had one
-    # installed, so a missing key means the same as an explicit None.
-    traffic_state = state.get("traffic_plane")
-    traffic_plane = study.world.fabric.traffic_plane
-    if (traffic_state is None) != (traffic_plane is None):
-        raise CheckpointCorruptError(
-            "snapshot and rebuilt world disagree about whether a traffic "
-            "plane is installed"
-        )
-    if traffic_plane is not None:
-        traffic_plane.restore_state(traffic_state)
-
-    # Likewise attack-free for snapshots predating the attack plane.
-    attack_state = state.get("attack_plane")
-    attack_plane = study.world.fabric.attack_plane
-    if (attack_state is None) != (attack_plane is None):
-        raise CheckpointCorruptError(
-            "snapshot and rebuilt world disagree about whether an attack "
-            "plane is installed"
-        )
-    if attack_plane is not None:
-        attack_plane.restore_state(attack_state)
+            f"replayed world clock drifted from the snapshot: {exc}"
+        ) from exc
 
 
 def _restore_optional(obj: Optional[object], saved: Optional[object], name: str) -> None:
     if (obj is None) != (saved is None):
         raise CheckpointCorruptError(
             f"snapshot and rebuilt runtime disagree about {name!r}; the "
-            "resume was given a different residual-scan configuration"
+            "resume was given a different configuration or scenario"
         )
     if obj is not None:
         obj.restore_state(saved)

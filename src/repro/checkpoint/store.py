@@ -4,8 +4,9 @@ A checkpoint directory holds three kinds of files:
 
 ``MANIFEST.json``
     The run's identity — schema version, seed, population size, the
-    full study config, the fault profile — plus content hashes of the
-    config and profile.  A resume against *different* inputs is refused
+    full study config and its content hash, the scenario (fault, traffic
+    and attack profiles) — plus the store's place in a sharded campaign.
+    A resume against *different* inputs is refused
     loudly (:class:`~repro.errors.CheckpointMismatchError`): silently
     continuing a seed-11 trajectory with seed-12 inputs would produce a
     report that looks valid and is garbage.
@@ -37,6 +38,7 @@ from ..errors import (
     CheckpointSchemaError,
 )
 from ..io import append_durable_line, atomic_write_text
+from ..scenario import Scenario, profile_keywords
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -46,7 +48,9 @@ __all__ = [
 ]
 
 #: Bump on any incompatible change to manifest/journal/snapshot layout.
-SCHEMA_VERSION = 1
+#: Version 2 replaced the per-plane profile fields with one ``scenario``
+#: entry; older stores are refused, never misread.
+SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "MANIFEST.json"
 JOURNAL_NAME = "journal.jsonl"
@@ -92,9 +96,7 @@ class CheckpointStore:
         seed: int,
         population: int,
         config: Dict[str, object],
-        fault_profile: Optional[str] = None,
-        traffic_profile: Optional[str] = None,
-        attack_profile: Optional[str] = None,
+        scenario: Scenario = Scenario(),
         shard: Optional[Dict[str, int]] = None,
     ) -> "CheckpointStore":
         """Start a fresh checkpoint directory (refuses to reuse one).
@@ -119,10 +121,7 @@ class CheckpointStore:
             "population": int(population),
             "config": config,
             "config_hash": content_hash(config),
-            "fault_profile": fault_profile,
-            "profile_hash": content_hash({"fault_profile": fault_profile}),
-            "traffic_profile": traffic_profile,
-            "attack_profile": attack_profile,
+            "scenario": scenario.identity,
             "shard": shard,
         }
         atomic_write_text(directory / MANIFEST_NAME, canonical_json(manifest) + "\n")
@@ -157,38 +156,32 @@ class CheckpointStore:
         seed: int,
         population: int,
         config: Dict[str, object],
-        fault_profile: Optional[str] = None,
-        traffic_profile: Optional[str] = None,
-        attack_profile: Optional[str] = None,
+        scenario: Scenario = Scenario(),
         shard: Optional[Dict[str, int]] = None,
     ) -> None:
         """Refuse (loudly) to marry this store to different inputs.
 
         ``shard`` must match the identity recorded at :meth:`create`
-        (``None`` for monolithic stores) — manifests written before the
-        sharding plane carry no ``shard`` key, which reads back as
-        ``None`` and stays resumable monolithically.  Likewise
-        ``traffic_profile`` and ``attack_profile``: manifests written
-        before those planes read back as ``None`` and stay resumable
-        without background load or attacks.
+        (``None`` for monolithic stores).  A scenario mismatch names the
+        differing profile by its public keyword (``fault_profile``, ...).
         """
+        recorded = dict(
+            self.manifest, **profile_keywords(self.manifest["scenario"])
+        )
         expected = {
             "seed": int(seed),
             "population": int(population),
-            "fault_profile": fault_profile,
-            "traffic_profile": traffic_profile,
-            "attack_profile": attack_profile,
+            **scenario.keywords(),
             "config_hash": content_hash(config),
             "shard": shard,
         }
         for key, value in expected.items():
-            recorded = self.manifest.get(key)
-            if recorded != value:
+            if recorded.get(key) != value:
                 label = "study config" if key == "config_hash" else key
                 raise CheckpointMismatchError(
-                    f"checkpoint was written for {label}={recorded!r} but the "
-                    f"resume supplied {label}={value!r}; a resumed run must "
-                    "use the exact inputs of the original"
+                    f"checkpoint was written for {label}={recorded.get(key)!r} "
+                    f"but the resume supplied {label}={value!r}; a resumed "
+                    "run must use the exact inputs of the original"
                 )
 
     # -- journal -------------------------------------------------------

@@ -4,13 +4,13 @@
 
     python -m repro study  [--population N] [--seed S] [--days D] [--warmup W]
                            [--shards N] [--shard-mode inline|process]
-                           [--traffic PROFILE]
+                           [--checkpoint DIR] [SCENARIO]
     python -m repro scan   [--population N] [--seed S]
     python -m repro attack [--population N] [--seed S] [--gbps G]
     python -m repro purge-probe [--trials T] [--plan PLAN]
     python -m repro bench  [--population N] [--seed S] [--warmup W]
                            [--label L] [--out PATH] [--shards N[,N...]]
-                           [--traffic PROFILE]
+                           [--traffic PROFILE] [--attacks PROFILE]
     python -m repro traffic [--profile NAME] [--population N] [--seed S]
                            [--days D]
     python -m repro attacks [--profile NAME] [--population N] [--seed S]
@@ -19,10 +19,10 @@
                            [--warmup W] [--out PATH] [--traffic PROFILE]
                            [--attacks PROFILE]
     python -m repro resume CHECKPOINT_DIR [--population N] [--seed S]
-                           [--days D] [--warmup W] [--profile NAME]
+                           [--days D] [--warmup W] [SCENARIO]
                            [--export PATH] [--shard-mode inline|process]
     python -m repro kill-matrix [--population N] [--seed S] [--days D]
-                           [--warmup W] [--profile NAME] [--workdir DIR]
+                           [--warmup W] [SCENARIO] [--workdir DIR]
                            [--out PATH] [--shards N]
                            [--shard-mode inline|process]
     python -m repro lint   [paths] [--select IDS] [--ignore IDS]
@@ -60,24 +60,15 @@ plane, and ``bench --shards 1,2,4,8`` appends a worker-scaling curve
 for the E1 collection to the BENCH payload.  docs/SCALING.md documents
 the execution model.
 
-``--traffic PROFILE`` (on ``study``, ``resume``, ``kill-matrix`` and
-``bench``) installs a named background-load profile after warm-up: the
-provider fleets serve Zipf-distributed client traffic and their defense
-stack (token buckets, adaptive limit tiers, circuit breakers, load
-shedding) may throttle the measurement plane, which degrades gracefully
-(UNMEASURED observations and partial scans, never fabricated
-transitions).  ``repro traffic`` lists the profiles or dry-drives one
-and prints its tallies.  docs/ROBUSTNESS.md documents the semantics.
-
-``--attacks PROFILE`` (on the same commands) schedules a deterministic
-DDoS campaign after warm-up: volumetric and amplification events strike
-site origins, provider fleets, and co-located hosting blocks, drive
-emergency JOIN / post-attack LEAVE/SWITCH waves through the world's
-behavior engine, surge the background-traffic load, and open transient
-outage windows on the victims' nameservers and origins — the
-measurement plane degrades gracefully while the study keeps running.
-``repro attacks`` lists the profiles or dry-drives one and prints its
-schedule and wave tallies.
+``SCENARIO`` is ``[--fault-profile NAME] [--traffic PROFILE] [--attacks
+PROFILE]``: the world conditions (:class:`repro.scenario.Scenario`)
+installed after warm-up — injected faults (checkpointed runs only),
+Zipf-distributed background load that the provider defense stack may
+throttle, and a deterministic DDoS campaign.  ``none`` disables each,
+and every name is validated before anything runs.  The measurement
+plane degrades gracefully under all three.  ``repro traffic`` and
+``repro attacks`` list the profiles or dry-drive one;
+docs/ROBUSTNESS.md documents the semantics.
 """
 
 from __future__ import annotations
@@ -95,11 +86,13 @@ from .core.pipeline import FilterPipeline
 from .core.purge_probe import PurgeProbe
 from .core.report import render_full_report
 from .core.residual_scan import CloudflareScanner, NameserverHarvest
-from .core.study import SixWeekStudy, StudyConfig
+from .core.study import StudyConfig
 from .dps.plans import PlanTier
 from .dps.portal import ReroutingMethod
+from .errors import ConfigurationError
 from .io import atomic_write_json
 from .net.geo import PAPER_VANTAGE_REGIONS
+from .scenario import Scenario
 from .world import SimulatedInternet, WorldConfig
 
 __all__ = ["main", "build_parser"]
@@ -119,6 +112,23 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=2018,
                          help="world seed (default 2018)")
 
+    def add_scenario_args(
+        sub: argparse.ArgumentParser, faults: bool = True
+    ) -> None:
+        group = sub.add_argument_group(
+            "scenario",
+            "world conditions the run is driven under; 'none' disables "
+            "each (see 'repro traffic' and 'repro attacks')",
+        )
+        if faults:
+            group.add_argument("--fault-profile", metavar="NAME", default=None,
+                               help="named fault profile (checkpointed runs "
+                                    "only; resume needs the original's)")
+        group.add_argument("--traffic", metavar="PROFILE", default=None,
+                           help="named background-traffic profile")
+        group.add_argument("--attacks", metavar="PROFILE", default=None,
+                           help="named DDoS attack campaign")
+
     study = subparsers.add_parser("study", help="run the full six-week campaign")
     add_world_args(study)
     study.add_argument("--days", type=int, default=42,
@@ -131,15 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="commit a durable checkpoint barrier after "
                             "every study day into DIR (resume with "
                             "'repro resume DIR')")
-    study.add_argument("--fault-profile", metavar="NAME", default=None,
-                       help="run the checkpointed study under a named "
-                            "fault profile (requires --checkpoint)")
-    study.add_argument("--traffic", metavar="PROFILE", default=None,
-                       help="drive background load under a named traffic "
-                            "profile ('none' disables; see 'repro traffic')")
-    study.add_argument("--attacks", metavar="PROFILE", default=None,
-                       help="schedule a named DDoS campaign after warm-up "
-                            "('none' disables; see 'repro attacks')")
+    add_scenario_args(study)
     study.add_argument("--shards", type=int, default=1, metavar="N",
                        help="partition the population across N lockstep "
                             "workers and merge byte-identically (default 1)")
@@ -177,12 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trajectory label (default: p<population>)")
     bench.add_argument("--out", metavar="PATH", default=None,
                        help="output path (default: BENCH_<label>.json)")
-    bench.add_argument("--traffic", metavar="PROFILE", default=None,
-                       help="run the workloads under a named background-"
-                            "traffic profile ('none' disables)")
-    bench.add_argument("--attacks", metavar="PROFILE", default=None,
-                       help="run the workloads under a named DDoS campaign "
-                            "('none' disables)")
+    add_scenario_args(bench, faults=False)
     bench.add_argument("--shards", metavar="N[,N...]", default=None,
                        help="also measure the sharded E1 collection at "
                             "these worker counts (e.g. 1,2,4,8) and record "
@@ -205,14 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 21)")
     chaos.add_argument("--out", metavar="PATH", default=None,
                        help="output path (default: CHAOS_<profile>.json)")
-    chaos.add_argument("--traffic", metavar="PROFILE", default=None,
-                       help="run BOTH worlds under this background-traffic "
-                            "profile, proving the fault check composes with "
-                            "load ('none' disables)")
-    chaos.add_argument("--attacks", metavar="PROFILE", default=None,
-                       help="run BOTH worlds under this attack campaign, "
-                            "proving the fault check composes with attacks "
-                            "('none' disables)")
+    add_scenario_args(chaos, faults=False)
 
     resume = subparsers.add_parser(
         "resume", help="continue a crashed checkpointed study"
@@ -225,12 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="study length in days (default 42)")
     resume.add_argument("--warmup", type=int, default=56,
                         help="warm-up days before the study (default 56)")
-    resume.add_argument("--fault-profile", metavar="NAME", default=None,
-                        help="fault profile the original run used, if any")
-    resume.add_argument("--traffic", metavar="PROFILE", default=None,
-                        help="traffic profile the original run used, if any")
-    resume.add_argument("--attacks", metavar="PROFILE", default=None,
-                        help="attack profile the original run used, if any")
+    add_scenario_args(resume)
     resume.add_argument("--export", metavar="PATH", default=None,
                         help="also write the report as JSON to PATH")
     resume.add_argument("--shard-mode", choices=["inline", "process"],
@@ -251,14 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="study length in days (default 4)")
     killmatrix.add_argument("--warmup", type=int, default=10,
                             help="warm-up days before the study (default 10)")
-    killmatrix.add_argument("--fault-profile", metavar="NAME", default=None,
-                            help="also run the matrix under a fault profile")
-    killmatrix.add_argument("--traffic", metavar="PROFILE", default=None,
-                            help="also run the matrix under a background-"
-                                 "traffic profile")
-    killmatrix.add_argument("--attacks", metavar="PROFILE", default=None,
-                            help="also run the matrix under a DDoS attack "
-                                 "campaign")
+    add_scenario_args(killmatrix)
     killmatrix.add_argument("--workdir", metavar="DIR", default=None,
                             help="where the matrix keeps its checkpoint "
                                  "directories (default: a fresh temp dir)")
@@ -418,43 +396,39 @@ def main(argv: Optional[List[str]] = None) -> int:  # repro: allow[REP040] -- re
     args = build_parser().parse_args(argv)
     if args.command == "lint":
         return _cmd_lint(args)
+    # Every profile name is validated here, before any world is built or
+    # any checkpoint directory is written.
+    try:
+        if args.command in ("traffic", "attacks"):
+            args.scenario = Scenario(**{args.command: args.profile})
+        elif hasattr(args, "traffic"):
+            args.scenario = Scenario(
+                getattr(args, "fault_profile", None), args.traffic, args.attacks
+            )
+    except ConfigurationError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     if args.command == "traffic":
         return _cmd_traffic(args)
     if args.command == "attacks":
         return _cmd_attacks(args)
-    if getattr(args, "traffic", None) is not None:
-        from .errors import ConfigurationError
-        from .traffic import normalize_traffic_profile
-
-        try:
-            args.traffic = normalize_traffic_profile(args.traffic)
-        except ConfigurationError as exc:
-            print(f"repro {args.command}: {exc}", file=sys.stderr)
-            return 2
-    if getattr(args, "attacks", None) is not None:
-        from .attacks import normalize_attack_profile
-        from .errors import ConfigurationError
-
-        try:
-            args.attacks = normalize_attack_profile(args.attacks)
-        except ConfigurationError as exc:
-            print(f"repro {args.command}: {exc}", file=sys.stderr)
-            return 2
     if args.command == "chaos":
         return _cmd_chaos(args)
     if args.command == "resume":
         return _cmd_resume(args)
     if args.command == "kill-matrix":
         return _cmd_kill_matrix(args)
-    if args.command == "study" and args.shards > 1:
-        return _cmd_study_sharded(args)
-    if args.command == "study" and args.checkpoint:
-        return _cmd_study_checkpointed(args)
+    if args.command == "study":
+        if args.scenario.faults is not None and not args.checkpoint:
+            print("repro study: --fault-profile requires --checkpoint",
+                  file=sys.stderr)
+            return 2
+        if args.shards > 1 or args.checkpoint:
+            return _cmd_study_durable(args)
+        return _cmd_study(args)
     world = SimulatedInternet(
         WorldConfig(population_size=args.population, seed=args.seed)
     )
-    if args.command == "study":
-        return _cmd_study(world, args)
     if args.command == "scan":
         return _cmd_scan(world, args)
     if args.command == "attack":
@@ -472,8 +446,8 @@ def _cmd_chaos(args) -> int:
         population=args.population,
         seed=args.seed,
         warmup_days=args.warmup,
-        traffic=args.traffic,
-        attacks=args.attacks,
+        traffic=args.scenario.traffic,
+        attacks=args.scenario.attacks,
     )
     out_path = args.out or f"CHAOS_{report['profile']}.json"
     atomic_write_json(out_path, report)
@@ -526,8 +500,8 @@ def _cmd_bench(world: SimulatedInternet, args) -> int:  # repro: allow[REP040] -
         world,
         warmup_days=args.warmup,
         label=args.label,
-        traffic=args.traffic,
-        attacks=args.attacks,
+        traffic=args.scenario.traffic,
+        attacks=args.scenario.attacks,
     )
     if shard_counts:
         from .obs.bench import run_shard_scaling
@@ -574,20 +548,11 @@ def _cmd_bench(world: SimulatedInternet, args) -> int:  # repro: allow[REP040] -
     return 0
 
 
-def _cmd_study(world: SimulatedInternet, args) -> int:
-    if args.fault_profile:
-        print("repro study: --fault-profile requires --checkpoint",
-              file=sys.stderr)
-        return 2
+def _cmd_study(args) -> int:
     config = StudyConfig(warmup_days=args.warmup, study_days=args.days)
-    study = SixWeekStudy(world, config)
-    runtime = study.begin()
-    if args.traffic is not None:
-        # Post-warmup, exactly like the checkpointed plane's _begin:
-        # background load shapes the measured weeks, not the warm-up.
-        world.install_traffic(args.traffic)
-    if args.attacks is not None:
-        world.install_attacks(args.attacks)
+    study, runtime = args.scenario.begin_study(
+        args.population, args.seed, config
+    )
     while not runtime.finished:
         study.run_day(runtime)
     report = study.finalise(runtime)
@@ -604,49 +569,35 @@ def _print_study_report(report, export: Optional[str]) -> int:
     return 0
 
 
-def _cmd_study_sharded(args) -> int:
+def _study_inputs(args) -> dict:
+    """The campaign inputs, spelled for the library's public entry points."""
+    return dict(
+        population=args.population,
+        seed=args.seed,
+        config=StudyConfig(warmup_days=args.warmup, study_days=args.days),
+        **args.scenario.keywords(),
+    )
+
+
+def _cmd_study_durable(args) -> int:
+    """``study --shards N`` and/or ``--checkpoint DIR``."""
+    from .checkpoint import run_checkpointed_study
     from .errors import CheckpointError, ShardError
     from .shard import run_sharded_study
 
-    if args.fault_profile and not args.checkpoint:
-        print("repro study: --fault-profile requires --checkpoint",
-              file=sys.stderr)
-        return 2
-    config = StudyConfig(warmup_days=args.warmup, study_days=args.days)
     try:
-        report = run_sharded_study(
-            population=args.population,
-            seed=args.seed,
-            config=config,
-            fault_profile=args.fault_profile,
-            traffic_profile=args.traffic,
-            attack_profile=args.attacks,
-            shard_count=args.shards,
-            mode=args.shard_mode,
-            checkpoint_dir=args.checkpoint,
-        )
+        if args.shards > 1:
+            report = run_sharded_study(
+                shard_count=args.shards,
+                mode=args.shard_mode,
+                checkpoint_dir=args.checkpoint,
+                **_study_inputs(args),
+            )
+        else:
+            report = run_checkpointed_study(
+                args.checkpoint, **_study_inputs(args)
+            )
     except (CheckpointError, ShardError) as exc:
-        print(f"repro study: {exc}", file=sys.stderr)
-        return 1
-    return _print_study_report(report, args.export)
-
-
-def _cmd_study_checkpointed(args) -> int:
-    from .checkpoint import run_checkpointed_study
-    from .errors import CheckpointError
-
-    config = StudyConfig(warmup_days=args.warmup, study_days=args.days)
-    try:
-        report = run_checkpointed_study(
-            args.checkpoint,
-            population=args.population,
-            seed=args.seed,
-            config=config,
-            fault_profile=args.fault_profile,
-            traffic_profile=args.traffic,
-            attack_profile=args.attacks,
-        )
-    except CheckpointError as exc:
         print(f"repro study: {exc}", file=sys.stderr)
         return 1
     return _print_study_report(report, args.export)
@@ -657,7 +608,6 @@ def _cmd_resume(args) -> int:
     from .checkpoint.store import CheckpointStore
     from .errors import CheckpointError, ShardError
 
-    config = StudyConfig(warmup_days=args.warmup, study_days=args.days)
     try:
         # A sharded campaign's coordinator manifest records {"count": n}
         # (no "index"); anything else resumes through the monolithic
@@ -668,25 +618,10 @@ def _cmd_resume(args) -> int:
             from .shard import resume_sharded_study
 
             report = resume_sharded_study(
-                args.checkpoint,
-                population=args.population,
-                seed=args.seed,
-                config=config,
-                fault_profile=args.fault_profile,
-                traffic_profile=args.traffic,
-                attack_profile=args.attacks,
-                mode=args.shard_mode,
+                args.checkpoint, mode=args.shard_mode, **_study_inputs(args)
             )
         else:
-            report = resume_study(
-                args.checkpoint,
-                population=args.population,
-                seed=args.seed,
-                config=config,
-                fault_profile=args.fault_profile,
-                traffic_profile=args.traffic,
-                attack_profile=args.attacks,
-            )
+            report = resume_study(args.checkpoint, **_study_inputs(args))
     except (CheckpointError, ShardError) as exc:
         print(f"repro resume: {exc}", file=sys.stderr)
         return 1
@@ -697,20 +632,19 @@ def _cmd_kill_matrix(args) -> int:
     import tempfile
 
     from .checkpoint import run_kill_matrix
+    from .errors import ShardError
 
-    config = StudyConfig(warmup_days=args.warmup, study_days=args.days)
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-killmatrix-")
-    payload = run_kill_matrix(
-        workdir,
-        population=args.population,
-        seed=args.seed,
-        config=config,
-        fault_profile=args.fault_profile,
-        traffic_profile=args.traffic,
-        attack_profile=args.attacks,
-        shards=args.shards,
-        shard_mode=args.shard_mode,
-    )
+    try:
+        payload = run_kill_matrix(
+            workdir,
+            shards=args.shards,
+            shard_mode=args.shard_mode,
+            **_study_inputs(args),
+        )
+    except ShardError as exc:
+        print(f"repro kill-matrix: {exc}", file=sys.stderr)
+        return 1
     atomic_write_json(args.out, payload)
     failed = [c for c in payload["cases"] if not c["passed"]]
     print(f"kill matrix: {len(payload['cases'])} crash case(s), "
@@ -730,9 +664,7 @@ def _cmd_kill_matrix(args) -> int:
 
 
 def _cmd_traffic(args) -> int:
-    from .errors import ConfigurationError
-    from .obs.metrics import MetricsRegistry
-    from .traffic import TRAFFIC_PROFILES, normalize_traffic_profile
+    from .traffic import TRAFFIC_PROFILES
 
     if args.profile is None:
         print("background-traffic profiles:")
@@ -748,19 +680,14 @@ def _cmd_traffic(args) -> int:
             print(f"           {profile.description}")
         print("('none' disables background traffic)")
         return 0
-    try:
-        name = normalize_traffic_profile(args.profile)
-    except ConfigurationError as exc:
-        print(f"repro traffic: {exc}", file=sys.stderr)
-        return 2
+    name = args.scenario.traffic
     if name is None:
         print("profile 'none': no background traffic to drive")
         return 0
     world = SimulatedInternet(
         WorldConfig(population_size=args.population, seed=args.seed)
     )
-    metrics = MetricsRegistry()
-    plane = world.install_traffic(name, metrics=metrics)
+    plane = world.install_traffic(name)
     world.engine.run_days(args.days)
     print(f"profile {name}: drove {args.days} day(s) at "
           f"population {args.population}, seed {args.seed}")
@@ -780,9 +707,7 @@ def _cmd_traffic(args) -> int:
 
 
 def _cmd_attacks(args) -> int:
-    from .attacks import ATTACK_PROFILES, normalize_attack_profile
-    from .errors import ConfigurationError
-    from .obs.metrics import MetricsRegistry
+    from .attacks import ATTACK_PROFILES
 
     if args.profile is None:
         print("attack profiles:")
@@ -805,19 +730,14 @@ def _cmd_attacks(args) -> int:
             print(f"            {profile.description}")
         print("('none' disables attacks)")
         return 0
-    try:
-        name = normalize_attack_profile(args.profile)
-    except ConfigurationError as exc:
-        print(f"repro attacks: {exc}", file=sys.stderr)
-        return 2
+    name = args.scenario.attacks
     if name is None:
         print("profile 'none': no attacks to drive")
         return 0
     world = SimulatedInternet(
         WorldConfig(population_size=args.population, seed=args.seed)
     )
-    metrics = MetricsRegistry()
-    plane = world.install_attacks(name, metrics=metrics)
+    plane = world.install_attacks(name)
     print(f"profile {name}: schedule at population {args.population}, "
           f"seed {args.seed}:")
     for event in plane.events:

@@ -29,6 +29,7 @@ from ..core.pipeline import FilterPipeline
 from ..core.residual_scan import CloudflareScanner, IncapsulaScanner, NameserverHarvest
 from ..net.geo import PAPER_VANTAGE_REGIONS
 from ..obs.metrics import MetricsRegistry
+from ..scenario import Scenario
 from ..world import SimulatedInternet, WorldConfig
 from .profiles import FaultProfile, profile as lookup_profile
 
@@ -119,10 +120,8 @@ def _run_workloads(
     )
     world.engine.run_days(warmup_days)
     metrics = MetricsRegistry()
-    if traffic is not None:
-        world.install_traffic(traffic)
+    Scenario(traffic=traffic, attacks=attacks).install(world)
     if attacks is not None:
-        world.install_attacks(attacks)
         world.engine.run_days(_ATTACK_SOAK_DAYS)
     if fault_profile is not None:
         world.install_faults(fault_profile, metrics)

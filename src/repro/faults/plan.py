@@ -41,6 +41,7 @@ from ..net.geo import Region
 from ..net.ipaddr import IPv4Address, IPv4Prefix
 from ..obs.metrics import MetricsRegistry
 from ..rng import SeededRng
+from .retry import RetryPolicy
 
 __all__ = ["FaultKind", "FaultRule", "FaultVerdict", "FaultPlan"]
 
@@ -240,6 +241,30 @@ class FaultPlan:
             if rule.from_day is not None or rule.until_day is not None
         ]
         self._day_active: Dict[int, bool] = {}
+
+    @property
+    def slice_dependent(self) -> bool:
+        """Whether a worker making only its slice's deliveries would
+        measure differently from the whole population's run.
+
+        Probabilistic failures draw from one sequential stream and rate
+        limits count every delivery of the day.  Only a consecutive-
+        failure cap inside the default retry budget keeps those draws
+        from changing what is measured.
+        """
+        within_budget = (
+            self.max_consecutive_failures is not None
+            and self.max_consecutive_failures < RetryPolicy().max_attempts
+        )
+        return any(
+            rule.kind is FaultKind.RATE_LIMIT
+            or (
+                rule.kind in _CAPPED_KINDS
+                and rule.probability > 0
+                and not within_budget
+            )
+            for rule in self.rules
+        )
 
     # -- delivery hooks -------------------------------------------------
 

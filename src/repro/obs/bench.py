@@ -35,6 +35,7 @@ from ..dns.name import DomainName
 from ..dns.records import RecordType
 from ..net.geo import PAPER_VANTAGE_REGIONS
 from ..obs.metrics import MetricsRegistry
+from ..scenario import Scenario
 from ..world.internet import SimulatedInternet
 
 __all__ = ["run_bench", "compare_query_paths", "run_shard_scaling"]
@@ -230,14 +231,9 @@ def run_bench(  # repro: allow[REP040] -- timing real hardware is the bench's pu
     started = _wall_now()
     metrics = MetricsRegistry()
 
-    traffic_plane = None
-    traffic_metrics = MetricsRegistry()
-    if traffic is not None:
-        traffic_plane = world.install_traffic(traffic, metrics=traffic_metrics)
-    attack_plane = None
-    attack_metrics = MetricsRegistry()
-    if attacks is not None:
-        attack_plane = world.install_attacks(attacks, metrics=attack_metrics)
+    Scenario(traffic=traffic, attacks=attacks).install(world)
+    traffic_plane = world.fabric.traffic_plane
+    attack_plane = world.fabric.attack_plane
 
     with metrics.timer("bench.warmup", world.clock):
         world.engine.run_days(warmup_days)
@@ -347,7 +343,7 @@ def run_bench(  # repro: allow[REP040] -- timing real hardware is the bench's pu
                 name: traffic_plane.tallies[name]
                 for name in sorted(traffic_plane.tallies)
             },
-            "defense_counters": traffic_metrics.snapshot(),
+            "defense_counters": traffic_plane.metrics.snapshot(),
         }
     if attack_plane is not None:
         payload["attacks"] = {
@@ -358,6 +354,6 @@ def run_bench(  # repro: allow[REP040] -- timing real hardware is the bench's pu
                 name: attack_plane.tallies[name]
                 for name in sorted(attack_plane.tallies)
             },
-            "flood_counters": attack_metrics.snapshot(),
+            "flood_counters": attack_plane.metrics.snapshot(),
         }
     return payload

@@ -44,10 +44,8 @@ from typing import Dict, List, Optional, Sequence
 from ..checkpoint.serde import config_to_dict, restore_runtime, serialize_runtime
 from ..checkpoint.store import CheckpointStore
 from ..core.residual_scan import NameserverHarvest
-from ..core.study import SixWeekStudy, StudyConfig, StudyReport, StudyRuntime
+from ..core.study import StudyConfig, StudyReport
 from ..errors import (
-    CheckpointCorruptError,
-    CheckpointError,
     CheckpointMismatchError,
     ShardError,
     ShardWorkerError,
@@ -55,8 +53,7 @@ from ..errors import (
     SimulationError,
 )
 from ..faults.crash import CrashPlan
-from ..world.config import WorldConfig
-from ..world.internet import SimulatedInternet
+from ..scenario import Scenario
 from .merge import merge_payloads, overlay_merged, worker_payload
 from .plan import ShardPlan
 
@@ -106,9 +103,7 @@ class WorkerSpec:
     population: int
     seed: int
     config: StudyConfig
-    fault_profile: Optional[str] = None
-    traffic_profile: Optional[str] = None
-    attack_profile: Optional[str] = None
+    scenario: Scenario = Scenario()
     checkpoint_dir: Optional[str] = None
     crash_plan: Optional[CrashPlan] = None
     #: False: fresh run (create the store).  True: open the existing
@@ -132,7 +127,13 @@ class ShardWorker:
         self.store = self._attach_store()
         records = self.store.barriers() if self.store is not None else []
         self.latest_barrier = int(records[-1]["barrier"]) if records else -1
-        self.study, self.runtime = self._begin()
+        self.study, self.runtime = spec.scenario.begin_study(
+            spec.population,
+            spec.seed,
+            spec.config,
+            spec.shard_index,
+            spec.shard_count,
+        )
         if spec.resume and spec.seek_barrier >= 0:
             self._seek(records)
 
@@ -146,9 +147,7 @@ class ShardWorker:
             seed=spec.seed,
             population=spec.population,
             config=config_to_dict(spec.config),
-            fault_profile=spec.fault_profile,
-            traffic_profile=spec.traffic_profile,
-            attack_profile=spec.attack_profile,
+            scenario=spec.scenario,
             shard={"index": spec.shard_index, "count": spec.shard_count},
         )
         if spec.resume:
@@ -156,23 +155,6 @@ class ShardWorker:
             store.verify_inputs(**identity)
             return store
         return CheckpointStore.create(spec.checkpoint_dir, **identity)
-
-    def _begin(self) -> "tuple[SixWeekStudy, StudyRuntime]":
-        """Rebuild world + study deterministically (profile after warmup,
-        mirroring the monolithic checkpoint runner)."""
-        spec = self.spec
-        world = SimulatedInternet(
-            WorldConfig(population_size=spec.population, seed=spec.seed)
-        )
-        study = SixWeekStudy(world, spec.config)
-        runtime = study.begin(spec.shard_index, spec.shard_count)
-        if spec.fault_profile is not None:
-            world.install_faults(spec.fault_profile)
-        if spec.traffic_profile is not None:
-            world.install_traffic(spec.traffic_profile)
-        if spec.attack_profile is not None:
-            world.install_attacks(spec.attack_profile)
-        return study, runtime
 
     def _seek(self, records: List[Dict[str, object]]) -> None:
         """Replay the world to ``seek_barrier`` and overlay its snapshot."""
@@ -185,15 +167,7 @@ class ShardWorker:
             )
         record = records[target]  # barriers are contiguous from 0
         state = self.store.load_snapshot(record)
-        for _ in range(int(state["day_index"])):
-            self.study.world.engine.run_day()
         restore_runtime(self.study, self.runtime, state)
-        try:
-            self.study.world.clock.require(int(state["clock_now"]))
-        except SimulationError as exc:
-            raise CheckpointCorruptError(
-                f"replayed world clock drifted from the snapshot: {exc}"
-            ) from exc
 
     # -- lockstep operations -------------------------------------------
 
@@ -487,10 +461,16 @@ def run_sharded_study(
     continues a killed campaign on the identical trajectory.
     ``crash_plan`` arms the same :class:`~repro.faults.crash.CrashPlan`
     in *every* worker — the sharded kill-matrix's fault kind.
+
+    A fault profile whose faults depend on which deliveries a worker
+    makes is refused with :class:`~repro.errors.ShardError` when
+    ``shard_count > 1``, before any store is written or worker started.
     """
     config = config if config is not None else StudyConfig()
+    scenario = Scenario(fault_profile, traffic_profile, attack_profile)
     _require_mode(mode)
     ShardPlan(population, shard_count)  # validates the topology
+    scenario.require_shardable(shard_count)
     base = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if base is not None:
         CheckpointStore.create(
@@ -498,9 +478,7 @@ def run_sharded_study(
             seed=seed,
             population=population,
             config=config_to_dict(config),
-            fault_profile=fault_profile,
-            traffic_profile=traffic_profile,
-            attack_profile=attack_profile,
+            scenario=scenario,
             shard={"count": shard_count},
         )
     specs = [
@@ -510,9 +488,7 @@ def run_sharded_study(
             population=population,
             seed=seed,
             config=config,
-            fault_profile=fault_profile,
-            traffic_profile=traffic_profile,
-            attack_profile=attack_profile,
+            scenario=scenario,
             checkpoint_dir=(
                 str(shard_directory(base, index, shard_count))
                 if base is not None
@@ -525,15 +501,7 @@ def run_sharded_study(
     payloads = _drive_lockstep(
         specs, config, mode, start_barrier=0, op_timeout=op_timeout
     )
-    return _finalise_merged(
-        population,
-        seed,
-        config,
-        fault_profile,
-        traffic_profile,
-        attack_profile,
-        payloads,
-    )
+    return _finalise_merged(population, seed, config, scenario, payloads)
 
 
 def resume_sharded_study(
@@ -559,6 +527,7 @@ def resume_sharded_study(
     records without re-appending them.
     """
     config = config if config is not None else StudyConfig()
+    scenario = Scenario(fault_profile, traffic_profile, attack_profile)
     _require_mode(mode)
     base = Path(checkpoint_dir)
     parent = CheckpointStore.open(base)
@@ -579,9 +548,7 @@ def resume_sharded_study(
         seed=seed,
         population=population,
         config=config_to_dict(config),
-        fault_profile=fault_profile,
-        traffic_profile=traffic_profile,
-        attack_profile=attack_profile,
+        scenario=scenario,
         shard={"count": count},
     )
 
@@ -599,9 +566,7 @@ def resume_sharded_study(
             population=population,
             seed=seed,
             config=config,
-            fault_profile=fault_profile,
-            traffic_profile=traffic_profile,
-            attack_profile=attack_profile,
+            scenario=scenario,
             checkpoint_dir=str(shard_directory(base, index, count)),
             crash_plan=crash_plan,
             resume=True,
@@ -613,15 +578,7 @@ def resume_sharded_study(
     payloads = _drive_lockstep(
         specs, config, mode, start_barrier=start, op_timeout=op_timeout
     )
-    return _finalise_merged(
-        population,
-        seed,
-        config,
-        fault_profile,
-        traffic_profile,
-        attack_profile,
-        payloads,
-    )
+    return _finalise_merged(population, seed, config, scenario, payloads)
 
 
 # -- internals -------------------------------------------------------------
@@ -672,9 +629,7 @@ def _finalise_merged(
     population: int,
     seed: int,
     config: StudyConfig,
-    fault_profile: Optional[str],
-    traffic_profile: Optional[str],
-    attack_profile: Optional[str],
+    scenario: Scenario,
     payloads: List[Dict[str, object]],
 ) -> StudyReport:
     """Merge worker payloads and run the post-loop analyses.
@@ -686,15 +641,8 @@ def _finalise_merged(
     role of the snapshot.
     """
     merged = merge_payloads(payloads)
-    world = SimulatedInternet(WorldConfig(population_size=population, seed=seed))
-    study = SixWeekStudy(world, config)
-    runtime = study.begin()
-    if fault_profile is not None:
-        world.install_faults(fault_profile)
-    if traffic_profile is not None:
-        world.install_traffic(traffic_profile)
-    if attack_profile is not None:
-        world.install_attacks(attack_profile)
+    study, runtime = scenario.begin_study(population, seed, config)
+    world = study.world
     for _ in range(int(merged["day_index"])):
         world.engine.run_day()
     try:

@@ -16,7 +16,6 @@ from .plane import TrafficPlane, TrafficVerdict
 from .profiles import (
     TRAFFIC_PROFILES,
     TrafficProfile,
-    normalize_traffic_profile,
     traffic_profile,
 )
 
@@ -29,5 +28,4 @@ __all__ = [
     "TrafficProfile",
     "TRAFFIC_PROFILES",
     "traffic_profile",
-    "normalize_traffic_profile",
 ]

@@ -348,5 +348,4 @@ class TrafficPlane:
         self.tallies = {
             str(key): int(value) for key, value in state["tallies"]
         }
-        if "metrics" in state:
-            self.metrics.restore(state["metrics"])
+        self.metrics.restore(state["metrics"])

@@ -35,7 +35,6 @@ __all__ = [
     "TrafficProfile",
     "TRAFFIC_PROFILES",
     "traffic_profile",
-    "normalize_traffic_profile",
 ]
 
 _PAPER_REGIONS = tuple(PAPER_VANTAGE_REGIONS)
@@ -149,14 +148,3 @@ def traffic_profile(name: str) -> TrafficProfile:
             f"unknown traffic profile {name!r}; "
             f"known: {', '.join(sorted(TRAFFIC_PROFILES))} (or 'none')"
         ) from None
-
-
-def normalize_traffic_profile(name: Optional[str]) -> Optional[str]:
-    """Map CLI/manifest spellings to a canonical profile name or None.
-
-    ``None`` and ``"none"`` both mean *no background traffic*; anything
-    else must name a registered profile.
-    """
-    if name is None or name == "none":
-        return None
-    return traffic_profile(name).name

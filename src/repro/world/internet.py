@@ -40,7 +40,7 @@ from ..net.routeviews import RouteViewsDb
 from ..obs.metrics import MetricsRegistry
 from ..rng import SeededRng
 from ..traffic.plane import TrafficPlane
-from ..traffic.profiles import TrafficProfile, traffic_profile as lookup_traffic
+from ..traffic.profiles import traffic_profile as lookup_traffic
 from ..web.http import HttpClient
 from .admin import AdminBehaviorModel
 from .config import WorldConfig
@@ -243,51 +243,28 @@ class SimulatedInternet:
         self.fabric.fault_plan = plan
         return plan
 
-    def clear_faults(self) -> None:
-        """Remove any installed fault plan (deliveries become perfect)."""
-        self.fabric.fault_plan = None
-
     def install_traffic(
-        self,
-        profile: "TrafficProfile | TrafficPlane | str",
-        metrics: Optional[MetricsRegistry] = None,
+        self, profile: str, metrics: Optional[MetricsRegistry] = None
     ) -> TrafficPlane:
-        """Install a background-traffic plane and return it.
+        """Install the named background-traffic plane and return it.
 
-        Accepts a profile name (see
-        :data:`repro.traffic.TRAFFIC_PROFILES`), a
-        :class:`~repro.traffic.profiles.TrafficProfile`, or a ready-built
-        :class:`~repro.traffic.plane.TrafficPlane`.  From then on the
-        world engine drives one day of background load per day step, and
+        From then on the world engine drives one day of background load
+        per day step (see :data:`repro.traffic.TRAFFIC_PROFILES`), and
         the provider defense stack may throttle or shed measurement
         deliveries through the fabric.  The plane's RNG is forked from
         the world's root RNG — installation never perturbs world
         dynamics.
         """
-        if isinstance(profile, str):
-            profile = lookup_traffic(profile)
-        if isinstance(profile, TrafficProfile):
-            plane = profile.build(self, metrics)
-        else:
-            plane = profile
+        plane = lookup_traffic(profile).build(self, metrics)
         self.fabric.traffic_plane = plane
         return plane
 
-    def clear_traffic(self) -> None:
-        """Remove any installed traffic plane (background load stops)."""
-        self.fabric.traffic_plane = None
-
     def install_attacks(
-        self,
-        profile: "object | str",
-        metrics: Optional[MetricsRegistry] = None,
+        self, profile: str, metrics: Optional[MetricsRegistry] = None
     ):
-        """Install an attack plane and return it.
+        """Install the named attack plane and return it.
 
-        Accepts a profile name (see
-        :data:`repro.attacks.ATTACK_PROFILES`), an
-        :class:`~repro.attacks.profiles.AttackProfile`, or a ready-built
-        :class:`~repro.attacks.plane.AttackPlane`.  The schedule is
+        The schedule (see :data:`repro.attacks.ATTACK_PROFILES`) is
         generated at install time from a label-forked RNG stream, so
         event days are relative to the clock's current day and every
         replica that installs at the same day rebuilds it
@@ -297,25 +274,11 @@ class SimulatedInternet:
         # Imported here, not at module top: repro.attacks imports the
         # world's admin/website modules, and this module is part of the
         # same package's init chain.
-        from ..attacks.plane import AttackPlane
-        from ..attacks.profiles import AttackProfile, attack_profile as lookup_attack
+        from ..attacks.profiles import attack_profile as lookup_attack
 
-        if isinstance(profile, str):
-            profile = lookup_attack(profile)
-        if isinstance(profile, AttackProfile):
-            plane = profile.build(self, metrics)
-        elif isinstance(profile, AttackPlane):
-            plane = profile
-        else:
-            raise ConfigurationError(
-                f"cannot install attacks from {type(profile).__name__}"
-            )
+        plane = lookup_attack(profile).build(self, metrics)
         self.fabric.attack_plane = plane
         return plane
-
-    def clear_attacks(self) -> None:
-        """Remove any installed attack plane (the campaign stops)."""
-        self.fabric.attack_plane = None
 
     def vantage_point(self, region_name: str) -> VantagePoint:
         """One of the five measurement vantage points (Fig. 7)."""

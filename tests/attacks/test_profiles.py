@@ -5,10 +5,10 @@ import pytest
 from repro.attacks import (
     ATTACK_PROFILES,
     attack_profile,
-    normalize_attack_profile,
 )
 from repro.attacks.events import TargetKind
 from repro.errors import ConfigurationError
+from repro.scenario import Scenario
 from repro.world import SimulatedInternet, WorldConfig
 
 POPULATION = 200
@@ -47,11 +47,11 @@ class TestRegistry:
             attack_profile("tsunami")
 
     def test_normalize_maps_none_spellings(self):
-        assert normalize_attack_profile(None) is None
-        assert normalize_attack_profile("none") is None
-        assert normalize_attack_profile("campaign") == "campaign"
-        with pytest.raises(ConfigurationError):
-            normalize_attack_profile("tsunami")
+        assert Scenario(attacks=None).attacks is None
+        assert Scenario(attacks="none").attacks is None
+        assert Scenario(attacks="campaign").attacks == "campaign"
+        with pytest.raises(ConfigurationError, match="unknown attack profile"):
+            Scenario(attacks="tsunami")
 
 
 class TestScheduleGeneration:

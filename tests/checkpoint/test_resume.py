@@ -140,7 +140,6 @@ class TestResumeRefusals:
             seed=SEED,
             population=POPULATION,
             config=config_to_dict(study_inputs["config"]),
-            fault_profile=None,
         )
         with pytest.raises(CheckpointError, match="no committed barriers"):
             resume_study(tmp_path / "ckpt", **study_inputs)

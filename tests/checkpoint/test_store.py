@@ -17,6 +17,7 @@ from repro.errors import (
     CheckpointMismatchError,
     CheckpointSchemaError,
 )
+from repro.scenario import Scenario
 
 CONFIG = {"study_days": 3, "warmup_days": 8}
 
@@ -27,7 +28,7 @@ def make_store(directory, seed=11, population=150, config=None, profile=None):
         seed=seed,
         population=population,
         config=config if config is not None else dict(CONFIG),
-        fault_profile=profile,
+        scenario=Scenario(faults=profile),
     )
 
 
@@ -38,7 +39,11 @@ class TestManifest:
         assert opened.manifest == created.manifest
         assert opened.manifest_hash == created.manifest_hash
         assert opened.manifest["schema_version"] == SCHEMA_VERSION
-        assert opened.manifest["fault_profile"] == "lossy-default"
+        assert opened.manifest["scenario"] == {
+            "faults": "lossy-default",
+            "traffic": None,
+            "attacks": None,
+        }
 
     def test_create_refuses_existing_directory(self, tmp_path):
         make_store(tmp_path / "ckpt")
@@ -63,6 +68,70 @@ class TestManifest:
             CheckpointStore.open(tmp_path / "ckpt")
 
 
+class TestScenarioIdentity:
+    def test_bad_profile_name_writes_no_store(self, tmp_path):
+        from repro.checkpoint import run_checkpointed_study
+        from repro.core.study import StudyConfig
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="unknown fault profile"):
+            run_checkpointed_study(
+                tmp_path / "ckpt",
+                population=60,
+                seed=5,
+                config=StudyConfig(warmup_days=1, study_days=1),
+                fault_profile="bogus",
+            )
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_manifest_records_one_scenario_entry(self, tmp_path):
+        store = CheckpointStore.create(
+            tmp_path / "ckpt",
+            seed=11,
+            population=150,
+            config=dict(CONFIG),
+            scenario=Scenario("heavy-loss", "surge", "campaign"),
+        )
+        assert store.manifest["scenario"] == {
+            "faults": "heavy-loss",
+            "traffic": "surge",
+            "attacks": "campaign",
+        }
+        for retired in ("fault_profile", "profile_hash", "traffic_profile",
+                        "attack_profile"):
+            assert retired not in store.manifest
+
+    def test_schema_1_manifest_is_refused_not_misread(self, tmp_path):
+        from repro.checkpoint import resume_study
+        from repro.core.study import StudyConfig
+
+        directory = tmp_path / "ckpt"
+        directory.mkdir()
+        # The layout schema 1 wrote: one field per plane, no "scenario".
+        legacy = {
+            "schema_version": 1,
+            "seed": 11,
+            "population": 150,
+            "config": dict(CONFIG),
+            "config_hash": content_hash(dict(CONFIG)),
+            "fault_profile": None,
+            "profile_hash": content_hash({"fault_profile": None}),
+            "traffic_profile": None,
+            "attack_profile": None,
+            "shard": None,
+        }
+        (directory / "MANIFEST.json").write_text(canonical_json(legacy) + "\n")
+        with pytest.raises(CheckpointSchemaError, match="schema 1"):
+            CheckpointStore.open(directory)
+        with pytest.raises(CheckpointSchemaError):
+            resume_study(
+                directory,
+                population=150,
+                seed=11,
+                config=StudyConfig(warmup_days=8, study_days=3),
+            )
+
+
 class TestVerifyInputs:
     @pytest.fixture
     def store(self, tmp_path):
@@ -70,7 +139,10 @@ class TestVerifyInputs:
 
     def test_matching_inputs_accepted(self, store):
         store.verify_inputs(
-            seed=11, population=150, config=dict(CONFIG), fault_profile="lossy-default"
+            seed=11,
+            population=150,
+            config=dict(CONFIG),
+            scenario=Scenario(faults="lossy-default"),
         )
 
     @pytest.mark.parametrize(
@@ -79,12 +151,15 @@ class TestVerifyInputs:
             (dict(seed=12), "seed"),
             (dict(population=151), "population"),
             (dict(config={"study_days": 4, "warmup_days": 8}), "config"),
-            (dict(fault_profile=None), "fault_profile"),
+            (dict(scenario=Scenario()), "fault_profile"),
         ],
     )
     def test_each_mismatch_refused(self, store, override, needle):
         inputs = dict(
-            seed=11, population=150, config=dict(CONFIG), fault_profile="lossy-default"
+            seed=11,
+            population=150,
+            config=dict(CONFIG),
+            scenario=Scenario(faults="lossy-default"),
         )
         inputs.update(override)
         with pytest.raises(CheckpointMismatchError, match=needle):

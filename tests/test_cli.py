@@ -207,6 +207,42 @@ class TestCheckpointCommands:
         assert code == 1
         assert "already holds a manifest" in captured.err
 
+    def test_bad_profile_name_refused_before_any_directory(
+        self, capsys, tmp_path
+    ):
+        ckpt = tmp_path / "ckpt"
+        code = main([
+            "study", "--population", "150", "--seed", "11",
+            "--days", "1", "--warmup", "2",
+            "--checkpoint", str(ckpt), "--fault-profile", "bogus",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "unknown fault profile 'bogus'" in err
+        assert not ckpt.exists()
+
+    def test_fault_profile_none_is_off(self, capsys):
+        code = main([
+            "study", "--population", "60", "--seed", "5",
+            "--days", "1", "--warmup", "1", "--fault-profile", "none",
+        ])
+        assert code == 0
+        assert "Table VI" in capsys.readouterr().out
+
+    def test_slice_dependent_fault_profile_refuses_to_shard(
+        self, capsys, tmp_path
+    ):
+        ckpt = tmp_path / "ckpt"
+        code = main([
+            "study", "--population", "60", "--days", "1", "--warmup", "1",
+            "--shards", "2", "--shard-mode", "inline",
+            "--checkpoint", str(ckpt), "--fault-profile", "heavy-loss",
+        ])
+        assert code == 1
+        assert "cannot be sharded" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_kill_matrix_command(self, capsys, tmp_path):
         out_path = tmp_path / "KILLMATRIX.json"
         code = main([

@@ -17,10 +17,10 @@ from repro.net.geo import region
 from repro.net.ipaddr import IPv4Address
 from repro.obs.metrics import MetricsRegistry
 from repro.rng import SeededRng
+from repro.scenario import Scenario
 from repro.traffic import (
     TRAFFIC_PROFILES,
     TrafficPlane,
-    normalize_traffic_profile,
     traffic_profile,
 )
 
@@ -64,11 +64,11 @@ class TestProfiles:
             traffic_profile("tsunami")
 
     def test_normalize(self):
-        assert normalize_traffic_profile(None) is None
-        assert normalize_traffic_profile("none") is None
-        assert normalize_traffic_profile("surge") == "surge"
-        with pytest.raises(ConfigurationError):
-            normalize_traffic_profile("tsunami")
+        assert Scenario(traffic=None).traffic is None
+        assert Scenario(traffic="none").traffic is None
+        assert Scenario(traffic="surge").traffic == "surge"
+        with pytest.raises(ConfigurationError, match="unknown traffic profile"):
+            Scenario(traffic="tsunami")
 
     def test_steady_is_the_equivalence_profile(self):
         assert TRAFFIC_PROFILES["steady"].expect_equivalence
