@@ -15,6 +15,10 @@ replayed clock landed exactly where the snapshot says it should, and
 drives the remaining barriers.  The kill-matrix harness asserts the
 result is byte-identical to an uninterrupted run, for a crash at every
 barrier in both crash modes.
+
+Both entry points drive one :class:`~repro.checkpoint.replica.Replica`
+of the whole population in-process — the one-worker case of the
+sharded campaign, whose workers are replicas too.
 """
 
 from __future__ import annotations
@@ -22,12 +26,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
-from ..core.study import SixWeekStudy, StudyConfig, StudyReport, StudyRuntime
+from ..core.study import StudyConfig, StudyReport
 from ..errors import CheckpointError
 from ..faults.crash import CrashPlan
 from ..scenario import Scenario
-from .serde import config_to_dict, restore_runtime, serialize_runtime
-from .store import CheckpointStore
+from .replica import Replica
 
 __all__ = ["run_checkpointed_study", "resume_study"]
 
@@ -51,17 +54,10 @@ def run_checkpointed_study(
     :func:`resume_study`, never silently overwritten.  Profile names
     are validated before the directory is touched.
     """
-    config = config if config is not None else StudyConfig()
     scenario = Scenario(fault_profile, traffic_profile, attack_profile)
-    store = CheckpointStore.create(
-        checkpoint_dir,
-        seed=seed,
-        population=population,
-        config=config_to_dict(config),
-        scenario=scenario,
+    return _campaign(
+        checkpoint_dir, population, seed, config, scenario, crash_plan
     )
-    study, runtime = scenario.begin_study(population, seed, config)
-    return _drive(store, study, runtime, crash_plan, latest_barrier=-1)
 
 
 def resume_study(
@@ -84,73 +80,45 @@ def resume_study(
     — drift means world dynamics were not reproduced and the resumed
     measurements would silently diverge.
     """
-    config = config if config is not None else StudyConfig()
     scenario = Scenario(fault_profile, traffic_profile, attack_profile)
-    store = CheckpointStore.open(checkpoint_dir)
-    store.verify_inputs(
-        seed=seed,
-        population=population,
-        config=config_to_dict(config),
-        scenario=scenario,
-    )
-    record = store.latest()
-    if record is None:
-        raise CheckpointError(
-            f"journal at {store.journal_path} holds no committed barriers; "
-            "nothing to resume — rerun from scratch"
-        )
-    state = store.load_snapshot(record)
-
-    study, runtime = scenario.begin_study(population, seed, config)
-    restore_runtime(study, runtime, state)
-    return _drive(
-        store, study, runtime, crash_plan, latest_barrier=int(record["barrier"])
+    return _campaign(
+        checkpoint_dir, population, seed, config, scenario, crash_plan,
+        resume=True,
     )
 
 
 # -- internals -------------------------------------------------------------
 
 
-def _drive(
-    store: CheckpointStore,
-    study: SixWeekStudy,
-    runtime: StudyRuntime,
+def _campaign(
+    checkpoint_dir: "Path | str",
+    population: int,
+    seed: int,
+    config: Optional[StudyConfig],
+    scenario: Scenario,
     crash_plan: Optional[CrashPlan],
-    latest_barrier: int,
+    resume: bool = False,
 ) -> StudyReport:
-    """The barrier loop shared by fresh and resumed runs.
-
-    Barriers already committed (``<= latest_barrier``) are never
-    re-appended: a resume picks the loop up mid-stride without touching
-    the journal's history.
-    """
-    study_days = study.config.study_days
-    while True:
-        barrier = runtime.day_index
-        if barrier > latest_barrier:
-            _commit_barrier(store, study, runtime, crash_plan, barrier)
-            latest_barrier = barrier
-        if barrier >= study_days:
-            break
-        study.run_day(runtime)
-    return study.finalise(runtime)
-
-
-def _commit_barrier(
-    store: CheckpointStore,
-    study: SixWeekStudy,
-    runtime: StudyRuntime,
-    crash_plan: Optional[CrashPlan],
-    barrier: int,
-) -> None:
-    if crash_plan is not None:
-        crash_plan.fire_if_due(barrier, "before-commit")
-    state = serialize_runtime(study, runtime)
-    store.append_barrier(
-        barrier=barrier,
-        day=study.world.clock.day,
-        clock_now=study.world.clock.now,
-        state=state,
+    """Barrier, day, barrier, ... then finalise, on one replica."""
+    replica = Replica(
+        population=population,
+        seed=seed,
+        config=config if config is not None else StudyConfig(),
+        scenario=scenario,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        crash_plan=crash_plan,
     )
-    if crash_plan is not None:
-        crash_plan.fire_if_due(barrier, "after-commit")
+    if resume:
+        if replica.latest_barrier < 0:
+            raise CheckpointError(
+                f"journal at {replica.store.journal_path} holds no committed "
+                "barriers; nothing to resume — rerun from scratch"
+            )
+        replica.seek(replica.latest_barrier)
+    study, runtime = replica.study, replica.runtime
+    while True:
+        replica.commit()
+        if runtime.finished:
+            return study.finalise(runtime)
+        study.run_day(runtime)

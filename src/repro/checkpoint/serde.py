@@ -5,9 +5,10 @@ world itself is never serialized: world dynamics draw exclusively from
 label-forked RNG streams and are measurement-independent, so a resumed
 process rebuilds the world from (seed, population) and replays
 ``day_index`` engine days to land on the identical state — then
-overlays the measurement state restored here.  The runner verifies the
-replayed clock position afterwards; drift means the two processes did
-not share a trajectory and the resume is refused.
+overlays the measurement state restored here.  The replica
+(:mod:`repro.checkpoint.replica`) does the replay and verifies the
+replayed clock position; drift means the two processes did not share a
+trajectory and the resume is refused.
 
 Everything here round-trips through JSON, with insertion order
 preserved wherever order is behaviourally load-bearing (snapshot
@@ -25,7 +26,7 @@ from ..core.study import SixWeekStudy, StudyConfig, StudyRuntime
 from ..dns.message import Rcode
 from ..dns.name import DomainName
 from ..dps.portal import ReroutingMethod
-from ..errors import CheckpointCorruptError, SimulationError
+from ..errors import CheckpointCorruptError
 from ..net.ipaddr import IPv4Address
 from ..scenario import installed_planes
 
@@ -293,14 +294,12 @@ def serialize_runtime(study: SixWeekStudy, runtime: StudyRuntime) -> Dict[str, o
 def restore_runtime(
     study: SixWeekStudy, runtime: StudyRuntime, state: Dict[str, object]
 ) -> None:
-    """Replay a freshly begun runtime to a barrier snapshot and overlay it.
+    """Overlay a barrier snapshot's measurement state onto a runtime.
 
     ``runtime`` must come from :meth:`SixWeekStudy.begin` on a world
-    rebuilt with the checkpoint's inputs.  The world's
-    measurement-independent dynamics replay ``day_index`` engine days,
-    the measurement layer is restored from the snapshot, and the
-    replayed clock must land exactly where the snapshot says — drift
-    means the two processes did not share a trajectory.
+    rebuilt with the checkpoint's inputs and replayed to the snapshot's
+    day — :meth:`repro.checkpoint.replica.Replica.seek` does both and
+    checks the replayed clock.
     """
     if int(state["study_start_day"]) != runtime.study_start_day:
         raise CheckpointCorruptError(
@@ -308,8 +307,6 @@ def restore_runtime(
             f"but the snapshot was taken in a study starting at day "
             f"{state['study_start_day']}"
         )
-    for _ in range(int(state["day_index"])):
-        study.world.engine.run_day()
     runtime.day_index = int(state["day_index"])
 
     restore_report_partial(runtime.report, state["report"])
@@ -336,12 +333,6 @@ def restore_runtime(
 
     for field, plane in installed_planes(study.world).items():
         _restore_optional(plane, state["planes"][field], f"{field} plane")
-    try:
-        study.world.clock.require(int(state["clock_now"]))
-    except SimulationError as exc:
-        raise CheckpointCorruptError(
-            f"replayed world clock drifted from the snapshot: {exc}"
-        ) from exc
 
 
 def _restore_optional(obj: Optional[object], saved: Optional[object], name: str) -> None:

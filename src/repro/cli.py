@@ -396,8 +396,8 @@ def main(argv: Optional[List[str]] = None) -> int:  # repro: allow[REP040] -- re
     args = build_parser().parse_args(argv)
     if args.command == "lint":
         return _cmd_lint(args)
-    # Every profile name is validated here, before any world is built or
-    # any checkpoint directory is written.
+    # Every profile name and worker count is validated here, before any
+    # world is built or any checkpoint directory is written.
     try:
         if args.command in ("traffic", "attacks"):
             args.scenario = Scenario(**{args.command: args.profile})
@@ -407,6 +407,10 @@ def main(argv: Optional[List[str]] = None) -> int:  # repro: allow[REP040] -- re
             )
     except ConfigurationError as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
+    if args.command in ("study", "kill-matrix") and args.shards < 1:
+        print(f"repro {args.command}: --shards must be at least 1, "
+              f"got {args.shards}", file=sys.stderr)
         return 2
     if args.command == "traffic":
         return _cmd_traffic(args)

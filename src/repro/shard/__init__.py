@@ -4,15 +4,14 @@ The measurement campaign partitions cleanly: world dynamics are global
 and measurement-independent, per-site measurement touches only that
 site's slice of state, and the one cross-site dependency (the weekly
 scan's campaign-wide nameserver harvest) is a broadcast.  This package
-exploits that — :mod:`~repro.shard.plan` computes the partition,
-:mod:`~repro.shard.runner` drives N lockstep workers (in-process or
-forked), and :mod:`~repro.shard.merge` folds their payloads into study
-artifacts byte-identical to a monolithic run's, whatever the shard
-count.  docs/SCALING.md walks through the argument.
+exploits that — :func:`~repro.core.study.shard_bounds` computes the
+partition, :mod:`~repro.shard.runner` drives N lockstep workers
+(in-process or forked), and :mod:`~repro.shard.merge` folds their
+payloads into study artifacts byte-identical to a monolithic run's,
+whatever the shard count.  docs/SCALING.md walks through the argument.
 """
 
 from .merge import merge_payloads, overlay_merged, worker_payload
-from .plan import ShardPlan
 from .runner import (
     DEFAULT_OP_TIMEOUT,
     InlineExecutor,
@@ -26,7 +25,6 @@ from .runner import (
 
 __all__ = [
     "DEFAULT_OP_TIMEOUT",
-    "ShardPlan",
     "worker_payload",
     "merge_payloads",
     "overlay_merged",

@@ -18,12 +18,15 @@ the same phases the monolithic loop runs:
 4. **advance** — the world steps one day (every replica steps
    identically; the lockstep is never allowed to skew).
 
+Each worker is one :class:`~repro.checkpoint.replica.Replica` of its
+slice — the barrier commit, the seek on resume and the world replay
+are the replica's, exactly as in the monolithic checkpoint plane.
 After the last barrier each worker ships its payload
 (:func:`~repro.shard.merge.worker_payload`); the coordinator merges
-them, overlays the result onto a freshly replayed monolithic runtime,
-and runs :meth:`~repro.core.study.SixWeekStudy.finalise`.  The merged
-report is byte-identical to a single-process campaign's, whatever the
-shard count.
+them, overlays the result onto its own unsharded replica replayed to
+the merged day, and runs :meth:`~repro.core.study.SixWeekStudy.finalise`.
+The merged report is byte-identical to a single-process campaign's,
+whatever the shard count.
 
 Checkpoints nest under the campaign directory: the coordinator's
 manifest at the top (recording the shard count), one full per-shard
@@ -37,25 +40,25 @@ plane applies to a torn journal tail.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from ..checkpoint.serde import config_to_dict, restore_runtime, serialize_runtime
+from ..checkpoint.replica import Replica
+from ..checkpoint.serde import config_to_dict
 from ..checkpoint.store import CheckpointStore
 from ..core.residual_scan import NameserverHarvest
 from ..core.study import StudyConfig, StudyReport
 from ..errors import (
     CheckpointMismatchError,
+    ConfigurationError,
     ShardError,
     ShardWorkerError,
     SimulatedCrash,
-    SimulationError,
 )
 from ..faults.crash import CrashPlan
 from ..scenario import Scenario
 from .merge import merge_payloads, overlay_merged, worker_payload
-from .plan import ShardPlan
 
 __all__ = [
     "DEFAULT_OP_TIMEOUT",
@@ -114,108 +117,58 @@ class WorkerSpec:
 
 
 class ShardWorker:
-    """One shard's replica: full world, slice-wide measurement state.
+    """One shard's :class:`~repro.checkpoint.replica.Replica`, driven
+    operation by operation by the coordinator's lockstep protocol.
 
-    Driven operation by operation from the coordinator; every operation
-    asserts the worker is at the lockstep position the coordinator
-    believes it is, so a skew bug dies loudly instead of merging
-    garbage.
+    Every barrier asserts the worker is at the lockstep position the
+    coordinator believes it is, so a skew bug dies loudly instead of
+    merging garbage.
     """
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
-        self.store = self._attach_store()
-        records = self.store.barriers() if self.store is not None else []
-        self.latest_barrier = int(records[-1]["barrier"]) if records else -1
-        self.study, self.runtime = spec.scenario.begin_study(
-            spec.population,
-            spec.seed,
-            spec.config,
-            spec.shard_index,
-            spec.shard_count,
-        )
-        if spec.resume and spec.seek_barrier >= 0:
-            self._seek(records)
-
-    # -- construction --------------------------------------------------
-
-    def _attach_store(self) -> Optional[CheckpointStore]:
-        spec = self.spec
-        if spec.checkpoint_dir is None:
-            return None
-        identity = dict(
-            seed=spec.seed,
+        self.replica = Replica(
             population=spec.population,
-            config=config_to_dict(spec.config),
+            seed=spec.seed,
+            config=spec.config,
             scenario=spec.scenario,
             shard={"index": spec.shard_index, "count": spec.shard_count},
+            checkpoint_dir=spec.checkpoint_dir,
+            resume=spec.resume,
+            crash_plan=spec.crash_plan,
         )
-        if spec.resume:
-            store = CheckpointStore.open(spec.checkpoint_dir)
-            store.verify_inputs(**identity)
-            return store
-        return CheckpointStore.create(spec.checkpoint_dir, **identity)
-
-    def _seek(self, records: List[Dict[str, object]]) -> None:
-        """Replay the world to ``seek_barrier`` and overlay its snapshot."""
-        target = self.spec.seek_barrier
-        if target > self.latest_barrier:
-            raise ShardError(
-                f"shard {self.spec.shard_index} was asked to seek to "
-                f"barrier {target} but has only committed up to "
-                f"{self.latest_barrier}"
-            )
-        record = records[target]  # barriers are contiguous from 0
-        state = self.store.load_snapshot(record)
-        restore_runtime(self.study, self.runtime, state)
-
-    # -- lockstep operations -------------------------------------------
+        if spec.resume and spec.seek_barrier >= 0:
+            self.replica.seek(spec.seek_barrier)
 
     def dispatch(self, op: str, argument: object = None) -> object:
         """Execute one coordinator-issued operation."""
+        study, runtime = self.replica.study, self.replica.runtime
         if op == "barrier":
-            return self._op_barrier(int(argument))
+            if argument != runtime.day_index:
+                raise ShardError(
+                    f"shard {self.spec.shard_index} sits at day "
+                    f"{runtime.day_index} but the coordinator announced "
+                    f"barrier {argument}; the lockstep has skewed"
+                )
+            return self.replica.commit()
         if op == "collect":
-            return self.study.collect_day(self.runtime)
+            return study.collect_day(runtime)
         if op == "harvest_names":
-            return self.runtime.harvest.state_dict()
+            return runtime.harvest.state_dict()
         if op == "scan":
             return self._op_scan(argument)
         if op == "advance":
-            return self.study.advance_day(self.runtime)
+            return study.advance_day(runtime)
         if op == "finish":
-            return worker_payload(self.study, self.runtime)
+            return worker_payload(study, runtime)
         raise ShardError(f"unknown shard operation {op!r}")
-
-    def _op_barrier(self, barrier: int) -> int:
-        if barrier != self.runtime.day_index:
-            raise ShardError(
-                f"shard {self.spec.shard_index} sits at day "
-                f"{self.runtime.day_index} but the coordinator announced "
-                f"barrier {barrier}; the lockstep has skewed"
-            )
-        if barrier > self.latest_barrier:
-            crash_plan = self.spec.crash_plan
-            if crash_plan is not None:
-                crash_plan.fire_if_due(barrier, "before-commit")
-            if self.store is not None:
-                self.store.append_barrier(
-                    barrier=barrier,
-                    day=self.study.world.clock.day,
-                    clock_now=self.study.world.clock.now,
-                    state=serialize_runtime(self.study, self.runtime),
-                )
-            if crash_plan is not None:
-                crash_plan.fire_if_due(barrier, "after-commit")
-            self.latest_barrier = barrier
-        return self.latest_barrier
 
     def _op_scan(self, merged_names: object) -> None:
         """Run the weekly sweeps with the broadcast campaign harvest."""
         broadcast = NameserverHarvest()
         broadcast.restore_state(merged_names)
-        self.runtime.scan_harvest = broadcast
-        self.study.scan_day(self.runtime)
+        self.replica.runtime.scan_harvest = broadcast
+        self.replica.study.scan_day(self.replica.runtime)
 
 
 # -- executors --------------------------------------------------------------
@@ -404,7 +357,7 @@ def _worker_main(connection, spec: WorkerSpec) -> None:
     try:
         try:
             worker = ShardWorker(spec)
-            connection.send(("ok", worker.latest_barrier))
+            connection.send(("ok", worker.replica.latest_barrier))
             while True:
                 # The worker-side half of the deadlock fix: never block
                 # forever on a coordinator that hung or was killed
@@ -469,7 +422,15 @@ def run_sharded_study(
     config = config if config is not None else StudyConfig()
     scenario = Scenario(fault_profile, traffic_profile, attack_profile)
     _require_mode(mode)
-    ShardPlan(population, shard_count)  # validates the topology
+    if population < 1:
+        raise ConfigurationError(f"population must be >= 1, got {population}")
+    if shard_count < 1:
+        raise ConfigurationError(f"shard_count must be >= 1, got {shard_count}")
+    if shard_count > population:
+        raise ConfigurationError(
+            f"cannot split {population} site(s) over {shard_count} "
+            "shard(s); every shard needs at least one site"
+        )
     scenario.require_shardable(shard_count)
     base = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if base is not None:
@@ -481,27 +442,10 @@ def run_sharded_study(
             scenario=scenario,
             shard={"count": shard_count},
         )
-    specs = [
-        WorkerSpec(
-            shard_index=index,
-            shard_count=shard_count,
-            population=population,
-            seed=seed,
-            config=config,
-            scenario=scenario,
-            checkpoint_dir=(
-                str(shard_directory(base, index, shard_count))
-                if base is not None
-                else None
-            ),
-            crash_plan=crash_plan,
-        )
-        for index in range(shard_count)
-    ]
-    payloads = _drive_lockstep(
-        specs, config, mode, start_barrier=0, op_timeout=op_timeout
+    first = WorkerSpec(
+        0, shard_count, population, seed, config, scenario, crash_plan=crash_plan
     )
-    return _finalise_merged(population, seed, config, scenario, payloads)
+    return _campaign(first, base, mode, op_timeout)
 
 
 def resume_sharded_study(
@@ -557,28 +501,11 @@ def resume_sharded_study(
         shard_store = CheckpointStore.open(shard_directory(base, index, count))
         record = shard_store.latest()
         latest_barriers.append(int(record["barrier"]) if record else -1)
-    seek_barrier = min(latest_barriers)
-
-    specs = [
-        WorkerSpec(
-            shard_index=index,
-            shard_count=count,
-            population=population,
-            seed=seed,
-            config=config,
-            scenario=scenario,
-            checkpoint_dir=str(shard_directory(base, index, count)),
-            crash_plan=crash_plan,
-            resume=True,
-            seek_barrier=seek_barrier,
-        )
-        for index in range(count)
-    ]
-    start = seek_barrier if seek_barrier >= 0 else 0
-    payloads = _drive_lockstep(
-        specs, config, mode, start_barrier=start, op_timeout=op_timeout
+    first = WorkerSpec(
+        0, count, population, seed, config, scenario, crash_plan=crash_plan,
+        resume=True, seek_barrier=min(latest_barriers),
     )
-    return _finalise_merged(population, seed, config, scenario, payloads)
+    return _campaign(first, base, mode, op_timeout)
 
 
 # -- internals -------------------------------------------------------------
@@ -625,31 +552,51 @@ def _drive_lockstep(
         executor.close()
 
 
-def _finalise_merged(
-    population: int,
-    seed: int,
-    config: StudyConfig,
-    scenario: Scenario,
-    payloads: List[Dict[str, object]],
+def _campaign(
+    first: WorkerSpec,
+    base: Optional[Path],
+    mode: str,
+    op_timeout: Optional[float],
 ) -> StudyReport:
-    """Merge worker payloads and run the post-loop analyses.
+    """Drive every worker in lockstep, merge, and finalise.
 
-    The coordinator replays its own full-world replica (warm-up via
-    :meth:`begin`, then the study's engine days), overlays the merged
-    measurement state, and finalises — the same world-replay discipline
-    the checkpoint plane's resume uses, with the merged payload in the
-    role of the snapshot.
+    ``first`` is shard 0's spec; the others differ only in their index
+    and, under ``base``, their store directory.  The merged state is
+    finalised on the coordinator's own replica of the whole population:
+    no store, its world replayed to the merged day, the merged
+    measurements overlaid in the role of a snapshot.
     """
+    specs = [
+        replace(
+            first,
+            shard_index=index,
+            checkpoint_dir=(
+                str(shard_directory(base, index, first.shard_count))
+                if base is not None
+                else None
+            ),
+        )
+        for index in range(first.shard_count)
+    ]
+    payloads = _drive_lockstep(
+        specs,
+        first.config,
+        mode,
+        start_barrier=max(first.seek_barrier, 0),
+        op_timeout=op_timeout,
+    )
     merged = merge_payloads(payloads)
-    study, runtime = scenario.begin_study(population, seed, config)
-    world = study.world
-    for _ in range(int(merged["day_index"])):
-        world.engine.run_day()
-    try:
-        world.clock.require(int(merged["clock_now"]))
-    except SimulationError as exc:
-        raise ShardError(
-            f"coordinator world replay drifted from the workers: {exc}"
-        ) from exc
-    overlay_merged(study, runtime, merged)
-    return study.finalise(runtime)
+    coordinator = Replica(
+        population=first.population,
+        seed=first.seed,
+        config=first.config,
+        scenario=first.scenario,
+    )
+    coordinator.replay(
+        int(merged["day_index"]),
+        int(merged["clock_now"]),
+        ShardError,
+        "the workers",
+    )
+    overlay_merged(coordinator.study, coordinator.runtime, merged)
+    return coordinator.study.finalise(coordinator.runtime)

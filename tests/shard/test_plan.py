@@ -1,4 +1,10 @@
-"""The partition arithmetic: exact coverage, balance, loud refusals."""
+"""The shard plan: exact coverage, balance, loud refusals.
+
+The partition is :func:`~repro.core.study.shard_bounds`, pure arithmetic
+every party recomputes; the topology refusals are
+:func:`~repro.shard.run_sharded_study`'s, raised before any world is
+built, store written or worker started.
+"""
 
 import pytest
 from hypothesis import given
@@ -6,42 +12,62 @@ from hypothesis import strategies as st
 
 from repro.core.study import shard_bounds
 from repro.errors import ConfigurationError
-from repro.shard import ShardPlan
+from repro.shard import run_sharded_study
+
+
+def _bounds(population, shard_count):
+    return [
+        shard_bounds(population, index, shard_count)
+        for index in range(shard_count)
+    ]
+
+
+def _sizes(population, shard_count):
+    return [end - start for start, end in _bounds(population, shard_count)]
+
+
+def _refused(population, shard_count):
+    with pytest.raises(ConfigurationError) as excinfo:
+        run_sharded_study(
+            population=population, seed=1, shard_count=shard_count
+        )
+    return str(excinfo.value)
 
 
 class TestShardPlan:
     def test_bounds_cover_population_exactly_once(self):
-        plan = ShardPlan(population=10, shard_count=3)
         covered = [
             index
-            for shard in plan.shard_indices
-            for index in range(*plan.bounds(shard))
+            for start, end in _bounds(10, 3)
+            for index in range(start, end)
         ]
         assert covered == list(range(10))
 
     def test_sizes_are_balanced_and_in_shard_order(self):
-        plan = ShardPlan(population=10, shard_count=3)
-        assert plan.sizes() == [4, 3, 3]
-        assert sum(plan.sizes()) == plan.population
+        assert _sizes(10, 3) == [4, 3, 3]
+        assert sum(_sizes(10, 3)) == 10
 
     def test_single_shard_is_the_whole_population(self):
-        plan = ShardPlan(population=7, shard_count=1)
-        assert plan.bounds(0) == (0, 7)
+        assert shard_bounds(7, 0, 1) == (0, 7)
 
     @pytest.mark.parametrize(
-        "population, shard_count",
-        [(0, 1), (10, 0), (10, -1), (2, 3)],
+        "population, shard_count, message",
+        [
+            (0, 1, "population must be >= 1, got 0"),
+            (10, 0, "shard_count must be >= 1, got 0"),
+            (10, -1, "shard_count must be >= 1, got -1"),
+            (2, 3, "cannot split 2 site(s) over 3 shard(s)"),
+        ],
+        ids=["0-1", "10-0", "10--1", "2-3"],
     )
-    def test_bad_topologies_are_refused(self, population, shard_count):
-        with pytest.raises(ConfigurationError):
-            ShardPlan(population=population, shard_count=shard_count)
+    def test_bad_topologies_are_refused(self, population, shard_count, message):
+        assert message in _refused(population, shard_count)
 
     def test_out_of_range_shard_index_is_refused(self):
-        plan = ShardPlan(population=10, shard_count=2)
         with pytest.raises(ValueError):
-            plan.bounds(2)
+            shard_bounds(10, 2, 2)
         with pytest.raises(ValueError):
-            plan.bounds(-1)
+            shard_bounds(10, -1, 2)
 
     @given(
         population=st.integers(min_value=1, max_value=500),
@@ -51,18 +77,18 @@ class TestShardPlan:
         self, population, shard_count
     ):
         if shard_count > population:
-            with pytest.raises(ConfigurationError):
-                ShardPlan(population=population, shard_count=shard_count)
+            assert "every shard needs at least one site" in _refused(
+                population, shard_count
+            )
             return
-        plan = ShardPlan(population=population, shard_count=shard_count)
-        bounds = [plan.bounds(index) for index in plan.shard_indices]
+        bounds = _bounds(population, shard_count)
         # Contiguous: each shard starts where the previous one ended.
         assert bounds[0][0] == 0
         assert bounds[-1][1] == population
         for (_, previous_end), (start, _) in zip(bounds, bounds[1:]):
             assert start == previous_end
         # Balanced: sizes differ by at most one, larger shards first.
-        sizes = plan.sizes()
+        sizes = _sizes(population, shard_count)
         assert max(sizes) - min(sizes) <= 1
         assert sizes == sorted(sizes, reverse=True)
 
@@ -74,9 +100,15 @@ class TestShardPlan:
     def test_property_bounds_need_no_coordination(
         self, population, shard_count, shard_index
     ):
-        """Any party recomputes the same bounds from pure arithmetic."""
+        """Any party recomputes the same bounds from the size rule alone:
+        ``population // shard_count`` each, one extra for the first
+        ``population % shard_count`` shards."""
         if shard_index >= shard_count or shard_count > population:
             return
-        assert shard_bounds(
-            population, shard_index, shard_count
-        ) == ShardPlan(population, shard_count).bounds(shard_index)
+        base, extra = divmod(population, shard_count)
+        sizes = [base + (index < extra) for index in range(shard_count)]
+        start = sum(sizes[:shard_index])
+        assert shard_bounds(population, shard_index, shard_count) == (
+            start,
+            start + sizes[shard_index],
+        )

@@ -287,6 +287,35 @@ class TestShardFlags:
         assert code == 2
         assert "--shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_study_rejects_shard_count_below_one(
+        self, capsys, tmp_path, count, checkpoint
+    ):
+        ckpt = tmp_path / "ckpt"
+        code = main(
+            ["study", "--population", "60", "--days", "1", "--warmup", "1",
+             "--shards", count]
+            + (["--checkpoint", str(ckpt)] if checkpoint else [])
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"repro study: --shards must be at least 1, got {count}\n"
+        assert not ckpt.exists()
+
+    def test_kill_matrix_rejects_shard_count_below_one(self, capsys, tmp_path):
+        out_path = tmp_path / "KILLMATRIX.json"
+        code = main([
+            "kill-matrix", "--population", "60", "--days", "1",
+            "--warmup", "1", "--shards", "0",
+            "--workdir", str(tmp_path / "work"), "--out", str(out_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "repro kill-matrix: --shards must be at least 1, got 0\n"
+        assert not out_path.exists()
+        assert not (tmp_path / "work").exists()
+
     def test_sharded_study_fault_profile_requires_checkpoint(self, capsys):
         code = main([
             "study", "--population", "60", "--days", "1", "--warmup", "1",

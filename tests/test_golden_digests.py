@@ -11,9 +11,16 @@ Each digest is the SHA-256 of ``canonical_json(study_artifact(report))``
 for p400, seed 2018, 8 warm-up days and 8 study days, and every route
 — monolithic, checkpointed, sharded inline over 2 workers where the
 scenario shards — must reproduce it.
+
+The checkpoint stores those durable routes leave behind are pinned the
+same way (:data:`STORE_GOLDEN`): manifests, journals and snapshots are
+an on-disk format a later build must resume, so their bytes may not
+drift either.  These digests were recorded before the checkpointed and
+sharded routes were put on one durable replica.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -100,3 +107,59 @@ def test_artifact_matches_golden_digest(name, route, tmp_path):
     report = ROUTES[route](scenario, tmp_path)
     body = canonical_json(study_artifact(report)).encode("utf-8")
     assert hashlib.sha256(body).hexdigest() == digest
+
+
+#: name -> (route, scenario, digest) for the finished checkpoint store.
+STORE_GOLDEN = {
+    "checkpointed-off": (
+        "checkpointed",
+        Scenario(),
+        "8c66bfcfa12341b5c31b8ff55eedb62d91ddeb6128af64871956c76e022b97d5",
+    ),
+    "checkpointed-hostile": (
+        "checkpointed",
+        GOLDEN["hostile"][0],
+        "b9c742aaafe73752b8b5cf2befbcf398da675540e5439bf5dee882e856ba464c",
+    ),
+    "sharded-off": (
+        "sharded",
+        Scenario(),
+        "59a214400be7040fbd8ba42829abb83e0c5ba555eb9f912d57018fb96fd6a24a",
+    ),
+}
+
+
+def store_digest(root: Path) -> str:
+    """SHA-256 over every file's relative path, length and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        body = path.read_bytes()
+        relative = path.relative_to(root).as_posix()
+        digest.update(f"{relative}\0{len(body)}\0".encode("utf-8"))
+        digest.update(body)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(STORE_GOLDEN))
+def test_checkpoint_store_matches_golden_digest(name, tmp_path):
+    route, scenario, digest = STORE_GOLDEN[name]
+    directory = tmp_path / "store"
+    if route == "checkpointed":
+        run_checkpointed_study(
+            directory,
+            population=POPULATION,
+            seed=SEED,
+            config=CONFIG,
+            **scenario.keywords(),
+        )
+    else:
+        run_sharded_study(
+            population=POPULATION,
+            seed=SEED,
+            config=CONFIG,
+            shard_count=2,
+            mode="inline",
+            checkpoint_dir=directory,
+            **scenario.keywords(),
+        )
+    assert store_digest(directory) == digest
