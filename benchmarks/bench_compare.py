@@ -7,14 +7,14 @@ Usage::
 The E1 collection counters are pure functions of (population, seed,
 warmup) — byte-identical across machines and Python versions — so any
 difference means the query path's *work* changed, not just its speed,
-and the script exits 1.  Wall times vary with hardware; they are
-printed for the perf trajectory but never gated.
-
-A payload may also carry a ``shard_scaling`` section (``repro bench
---shards``): the sharded E1 collection's worker-scaling curve.  It is
-printed when present — wall times and CPU counts are hardware facts,
-and the curve's population may differ from the gated workload's — but
-never gated.
+and the script exits 1.  The E8 residual-scan summary is gated the same
+way: the harvested nameserver count, the Cloudflare and Incapsula
+retrieved/hidden counts, the canonical count and the batched-vs-naive
+query-path comparison must match the baseline exactly.  The E8
+``counters`` name the layer that did the scan's work, which has moved
+between versions, so they are reported, not gated.  Wall times vary
+with hardware; they are printed for the perf trajectory but never
+gated.
 
 Likewise a ``lint_wall`` section (``benchmarks/lint_wall.py
 --merge-into``): the self-lint's cold/warm wall time and cache speedup.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Dict
+from typing import Dict, List
 
 
 def _load(path: str) -> Dict[str, object]:
@@ -71,8 +71,7 @@ def compare(baseline: Dict[str, object], candidate: Dict[str, object]) -> int:
         f"({ratio:.2f}x, reported only)"
     )
 
-    _report_shard_scaling("baseline", baseline)
-    _report_shard_scaling("candidate", candidate)
+    e8_drift = _e8_drift(baseline, candidate)
     _report_lint_wall("baseline", baseline)
     _report_lint_wall("candidate", candidate)
     _report_attacks_overhead("baseline", baseline)
@@ -84,12 +83,50 @@ def compare(baseline: Dict[str, object], candidate: Dict[str, object]) -> int:
             "the baseline — the collection path is doing different work:"
         )
         print("\n".join(drift))
+    if e8_drift:
+        print(
+            f"bench-compare: {len(e8_drift)} E8 summary field(s) drifted "
+            "from the baseline — the residual scan measured something else:"
+        )
+        print("\n".join(e8_drift))
+    if drift or e8_drift:
         return 1
     print(
-        f"bench-compare: all {len(base_counters)} E1 counters "
-        "byte-identical to the baseline"
+        f"bench-compare: all {len(base_counters)} E1 counters and "
+        f"{len(E8_GATED)} E8 summary fields byte-identical to the baseline"
     )
     return 0
+
+
+#: The E8 summary fields gated byte-identical.
+E8_GATED = (
+    "harvested_nameservers",
+    "cloudflare_retrieved",
+    "cloudflare_hidden",
+    "incapsula_canonicals",
+    "incapsula_retrieved",
+    "incapsula_hidden",
+    "query_path_comparison",
+)
+
+
+def _e8_drift(
+    baseline: Dict[str, object], candidate: Dict[str, object]
+) -> List[str]:
+    """Gated E8 fields that differ; reports the E8 wall and counters."""
+    base_e8 = baseline["e8_residual_scan"]
+    cand_e8 = candidate["e8_residual_scan"]
+    print(
+        f"bench-compare: E8 wall {float(base_e8['wall_seconds']):.3f}s -> "
+        f"{float(cand_e8['wall_seconds']):.3f}s, counters "
+        f"{sorted(cand_e8['counters'])} (reported only)"
+    )
+    return [
+        f"  {name}: baseline={base_e8.get(name)!r} "
+        f"candidate={cand_e8.get(name)!r}"
+        for name in E8_GATED
+        if base_e8.get(name) != cand_e8.get(name)
+    ]
 
 
 def _report_lint_wall(role: str, payload: Dict[str, object]) -> None:
@@ -121,24 +158,6 @@ def _report_attacks_overhead(role: str, payload: Dict[str, object]) -> None:
             f"E1 {float(point['e1_wall_seconds']):.3f}s, "
             f"{point['queries_sent']} queries, "
             f"{point['unanswered']} unanswered"
-        )
-
-
-def _report_shard_scaling(role: str, payload: Dict[str, object]) -> None:
-    scaling = payload.get("shard_scaling")
-    if not scaling:
-        return
-    print(
-        f"bench-compare: {role} shard-scaling curve "
-        f"(p{scaling['population']}, {scaling['cpus']} cpu(s), "
-        "reported only):"
-    )
-    for point in scaling["points"]:
-        print(
-            f"  {point['workers']} worker(s) [{point['mode']}]: "
-            f"{float(point['wall_seconds']):.3f}s, "
-            f"{point['resolved']} resolved, "
-            f"{point['queries_sent']} queries"
         )
 
 

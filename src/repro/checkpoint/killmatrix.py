@@ -23,14 +23,13 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from ..core.export import report_to_dict
-from ..core.study import StudyConfig, StudyReport
+from ..core.export import diff_artifacts, study_artifact
+from ..core.study import StudyConfig
 from ..errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
     SimulatedCrash,
 )
-from ..faults.chaos import _collection_artifact, diff_artifacts
 from ..faults.crash import CRASH_MODES, CrashPlan
 from ..scenario import FIELDS, REGISTRIES, Scenario
 from .runner import resume_study, run_checkpointed_study
@@ -44,14 +43,6 @@ _MISMATCH_CHECKS = {
     "traffic": "mismatched-traffic",
     "attacks": "mismatched-attacks",
 }
-
-
-def study_artifact(report: StudyReport) -> Dict[str, object]:
-    """The byte-compared artifact: E1 daily collections + E8 report."""
-    return {
-        "e1": [_collection_artifact(snapshot) for snapshot in report.snapshots],
-        "e8": report_to_dict(report),
-    }
 
 
 def run_kill_matrix(

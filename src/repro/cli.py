@@ -5,11 +5,11 @@
     python -m repro study  [--population N] [--seed S] [--days D] [--warmup W]
                            [--shards N] [--shard-mode inline|process]
                            [--checkpoint DIR] [SCENARIO]
-    python -m repro scan   [--population N] [--seed S]
+    python -m repro scan   [--population N] [--seed S] [--warmup W]
     python -m repro attack [--population N] [--seed S] [--gbps G]
     python -m repro purge-probe [--trials T] [--plan PLAN]
     python -m repro bench  [--population N] [--seed S] [--warmup W]
-                           [--label L] [--out PATH] [--shards N[,N...]]
+                           [--label L] [--out PATH]
                            [--traffic PROFILE] [--attacks PROFILE]
     python -m repro traffic [--profile NAME] [--population N] [--seed S]
                            [--days D]
@@ -31,15 +31,17 @@
                            [--ignore-unused-suppressions] [--jobs N]
 
 ``study`` runs the full six-week campaign and prints every table and
-figure; ``scan`` runs one §V residual-resolution sweep; ``attack``
-demonstrates the Fig. 1 bypass; ``purge-probe`` reruns the §V-A-3
-controlled purge measurement; ``bench`` runs the E1/E8 query-path
-workloads and writes a ``BENCH_<label>.json`` trajectory point;
-``chaos`` reruns them under a named fault profile against a same-seed
-fault-free run, writes ``CHAOS_<profile>.json``, and exits nonzero if
-an equivalence profile diverged (or a degradation profile failed to
-degrade explicitly); ``study --checkpoint DIR`` commits a durable
-checkpoint barrier after every study day; ``resume`` continues a
+figure; ``attack`` demonstrates the Fig. 1 bypass; ``purge-probe``
+reruns the §V-A-3 controlled purge measurement.  ``scan``, ``bench``
+and ``chaos`` each run one day of that campaign — the study's own
+collection (E1) and weekly scan (E8) phases after ``--warmup`` days:
+``scan`` prints the day's §V residual-resolution sweep; ``bench``
+writes its query-path counters as a ``BENCH_<label>.json`` trajectory
+point; ``chaos`` reruns the day under a named fault profile against a
+same-seed fault-free run, writes ``CHAOS_<profile>.json``, and exits
+nonzero if an equivalence profile diverged (or a degradation profile
+failed to degrade explicitly).  ``study --checkpoint DIR`` commits a
+durable checkpoint barrier after every study day; ``resume`` continues a
 crashed checkpointed study on the exact deterministic trajectory
 (mismatched inputs, corrupt snapshots, and damaged journals are
 refused with a nonzero exit); ``kill-matrix`` crashes a checkpointed
@@ -56,9 +58,7 @@ byte-identical to the monolithic run's; with ``--checkpoint`` each
 worker keeps its own store under the campaign directory and ``resume``
 detects the sharded layout from the coordinator manifest.
 ``kill-matrix --shards N`` runs the whole matrix through the sharded
-plane, and ``bench --shards 1,2,4,8`` appends a worker-scaling curve
-for the E1 collection to the BENCH payload.  docs/SCALING.md documents
-the execution model.
+plane.  docs/SCALING.md documents the execution model.
 
 ``SCENARIO`` is ``[--fault-profile NAME] [--traffic PROFILE] [--attacks
 PROFILE]``: the world conditions (:class:`repro.scenario.Scenario`)
@@ -79,19 +79,14 @@ import sys
 from typing import List, Optional
 
 from .core.attacker import DdosSimulator, ResidualResolutionAttacker
-from .core.collector import DnsRecordCollector
-from .core.htmlverify import HtmlVerifier
 from .core.matching import ProviderMatcher
-from .core.pipeline import FilterPipeline
 from .core.purge_probe import PurgeProbe
 from .core.report import render_full_report
-from .core.residual_scan import CloudflareScanner, NameserverHarvest
-from .core.study import StudyConfig
+from .core.study import SixWeekStudy, StudyConfig
 from .dps.plans import PlanTier
 from .dps.portal import ReroutingMethod
 from .errors import ConfigurationError
 from .io import atomic_write_json
-from .net.geo import PAPER_VANTAGE_REGIONS
 from .scenario import Scenario
 from .world import SimulatedInternet, WorldConfig
 
@@ -180,10 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", metavar="PATH", default=None,
                        help="output path (default: BENCH_<label>.json)")
     add_scenario_args(bench, faults=False)
-    bench.add_argument("--shards", metavar="N[,N...]", default=None,
-                       help="also measure the sharded E1 collection at "
-                            "these worker counts (e.g. 1,2,4,8) and record "
-                            "the scaling curve in the payload")
 
     chaos = subparsers.add_parser(
         "chaos",
@@ -459,8 +450,7 @@ def _cmd_chaos(args) -> int:
     print(f"profile {report['profile']} "
           f"({'equivalence' if report['expect_equivalence'] else 'degradation'}): "
           f"{report['faults_injected']} faults injected, "
-          f"retries resolver={retries['resolver']} client={retries['client']} "
-          f"http={retries['http']}")
+          f"retries resolver={retries['resolver']} client={retries['client']}")
     if report["identical"]:
         print("artifacts identical to the fault-free run")
     else:
@@ -476,30 +466,9 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _parse_shard_counts(raw: str) -> List[int]:
-    counts = []
-    for part in raw.split(","):
-        part = part.strip()
-        if part:
-            counts.append(int(part))
-    if not counts or any(count < 1 for count in counts):
-        raise ValueError(f"bad shard-count list {raw!r}")
-    return counts
-
-
 def _cmd_bench(world: SimulatedInternet, args) -> int:  # repro: allow[REP040] -- run_bench's wall-clock reads are the bench's output, not simulation state
     from .obs.bench import run_bench
 
-    if args.shards is not None:
-        try:
-            shard_counts = _parse_shard_counts(args.shards)
-        except ValueError:
-            print(f"repro bench: --shards wants a comma-separated list of "
-                  f"positive worker counts, got {args.shards!r}",
-                  file=sys.stderr)
-            return 2
-    else:
-        shard_counts = None
     result = run_bench(
         world,
         warmup_days=args.warmup,
@@ -507,12 +476,6 @@ def _cmd_bench(world: SimulatedInternet, args) -> int:  # repro: allow[REP040] -
         traffic=args.scenario.traffic,
         attacks=args.scenario.attacks,
     )
-    if shard_counts:
-        from .obs.bench import run_shard_scaling
-
-        result["shard_scaling"] = run_shard_scaling(
-            world, shard_counts=shard_counts
-        )
     out_path = args.out or f"BENCH_{result['label']}.json"
     atomic_write_json(out_path, result)
     e1 = result["e1_collection"]
@@ -540,14 +503,6 @@ def _cmd_bench(world: SimulatedInternet, args) -> int:  # repro: allow[REP040] -
         )
         print(f"traffic [{traffic['profile']}]: tier={traffic['tier']}, "
               f"{sheds} measurement deliveries throttled/shed")
-    scaling = result.get("shard_scaling")
-    if scaling:
-        print(f"shard scaling ({scaling['cpus']} cpu(s)):")
-        for point in scaling["points"]:
-            print(f"  {point['workers']} worker(s) [{point['mode']}]: "
-                  f"{point['wall_seconds']:.3f}s, "
-                  f"{point['resolved']} resolved, "
-                  f"{point['queries_sent']} queries")
     print(f"bench written to {out_path}")
     return 0
 
@@ -758,27 +713,16 @@ def _cmd_attacks(args) -> int:
 
 
 def _cmd_scan(world: SimulatedInternet, args) -> int:
-    world.engine.run_days(args.warmup)
-    hostnames = [str(s.www) for s in world.population]
-    collector = DnsRecordCollector(world.make_resolver())
-    snapshot = collector.collect(hostnames, day=world.clock.day)
-    harvest = NameserverHarvest()
-    harvest.ingest([snapshot])
-    if len(harvest) == 0:
+    study = SixWeekStudy(
+        world, StudyConfig(warmup_days=args.warmup, study_days=1)
+    )
+    runtime = study.begin()
+    study.collect_day(runtime)
+    study.scan_day(runtime)
+    if 0 in runtime.report.skipped_scan_weeks:
         print("no nameservers harvested; increase --population")
         return 1
-    scanner = CloudflareScanner(
-        harvest.resolve_addresses(world.make_resolver()),
-        [world.dns_client(region) for region in PAPER_VANTAGE_REGIONS],
-        rng=world.rng.fork("residual-scan"),
-    )
-    retrieved = scanner.scan(hostnames)
-    pipeline = FilterPipeline(
-        world.provider("cloudflare").prefixes,
-        world.make_resolver(),
-        HtmlVerifier(world.http_client(PAPER_VANTAGE_REGIONS[0])),
-    )
-    report = pipeline.run(retrieved, "cloudflare", week=0)
+    report = runtime.report.cloudflare_weekly[0]
     print(f"retrieved={report.retrieved} ip-filtered={report.dropped_ip_filter} "
           f"a-filtered={report.dropped_a_filter} hidden={report.hidden_count} "
           f"verified={report.verified_count}")

@@ -5,21 +5,38 @@ dictionary (and back to disk), so campaigns can be archived, diffed
 across library versions, and post-processed outside Python.  The export
 keeps the per-artifact aggregates — everything EXPERIMENTS.md tabulates —
 and omits the bulky raw snapshot series.
+
+:func:`study_artifact` is the byte-compared spec every equivalence check
+diffs (shard counts, resumes, the kill matrix, ``repro chaos``): the
+export plus each day's collected records, one
+:func:`collection_artifact` per snapshot.  :func:`diff_artifacts` names
+where two such trees differ.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from ..io import atomic_write_json
 from ..world.admin import BehaviorKind
+from .collector import DailySnapshot
 from .study import StudyReport
 
-__all__ = ["report_to_dict", "save_report", "load_report_dict"]
+__all__ = [
+    "report_to_dict",
+    "save_report",
+    "load_report_dict",
+    "collection_artifact",
+    "study_artifact",
+    "diff_artifacts",
+]
 
 _SCHEMA_VERSION = 3
+
+#: Divergences :func:`diff_artifacts` lists before truncation.
+_MAX_DIVERGENCES = 25
 
 
 def report_to_dict(report: StudyReport) -> Dict[str, Any]:
@@ -150,3 +167,57 @@ def save_report(report: StudyReport, path: "str | Path") -> Path:
 def load_report_dict(path: "str | Path") -> Dict[str, Any]:
     """Read an exported report back as a dictionary."""
     return json.loads(Path(path).read_text())
+
+
+def collection_artifact(snapshot: DailySnapshot) -> Dict[str, object]:
+    """One day's collected records per site, in JSON-compatible form."""
+    return {
+        str(domain.www): {
+            "a": sorted(str(ip) for ip in domain.a_records),
+            "cnames": [str(c) for c in domain.cnames],
+            "ns": sorted(str(t) for t in domain.ns_targets),
+            "rcode": str(domain.rcode),
+            "measured": domain.measured,
+        }
+        for domain in snapshot
+    }
+
+
+def study_artifact(report: StudyReport) -> Dict[str, object]:
+    """The byte-compared artifact: E1 daily collections + E8 report."""
+    return {
+        "e1": [collection_artifact(snapshot) for snapshot in report.snapshots],
+        "e8": report_to_dict(report),
+    }
+
+
+def diff_artifacts(
+    baseline: Dict[str, object], other: Dict[str, object]
+) -> List[str]:
+    """Dotted paths where two artifact trees differ (sorted, truncated)."""
+    paths: List[str] = []
+    _diff_into(baseline, other, "", paths)
+    paths.sort()
+    if len(paths) > _MAX_DIVERGENCES:
+        extra = len(paths) - _MAX_DIVERGENCES
+        paths = paths[:_MAX_DIVERGENCES] + [f"... and {extra} more"]
+    return paths
+
+
+def _diff_into(a: object, b: object, prefix: str, out: List[str]) -> None:
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            path = f"{prefix}.{key}" if prefix else str(key)
+            if key not in a:
+                out.append(f"{path} (only in faulty run)")
+            elif key not in b:
+                out.append(f"{path} (only in baseline)")
+            else:
+                _diff_into(a[key], b[key], path, out)
+        return
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for index, (left, right) in enumerate(zip(a, b)):
+            _diff_into(left, right, f"{prefix}[{index}]", out)
+        return
+    if a != b:
+        out.append(f"{prefix}: {a!r} != {b!r}")

@@ -1,9 +1,12 @@
 """The ``repro chaos`` harness: same seed, one faulty run, diff the rest.
 
-Builds two identical worlds from one seed, runs the E1 (daily
-collection) and E8 (residual scan + filter pipeline) workloads on both
-— one fault-free, one under a named fault profile installed after
-warm-up — and diffs the measured artifacts field by field.
+Builds two identical worlds from one seed and runs one study day on
+both — :meth:`~repro.core.study.SixWeekStudy.collect_day` (E1, the daily
+collection) and :meth:`~repro.core.study.SixWeekStudy.scan_day` (E8, the
+residual scan and filter pipeline), then ``finalise`` — one fault-free,
+one under a named fault profile installed after warm-up.  The two
+worlds' :func:`~repro.core.export.study_artifact` trees are diffed
+field by field.
 
 For profiles that stay inside the retry budget
 (``expect_equivalence``), any divergence is a correctness bug in the
@@ -20,82 +23,22 @@ byte for byte.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..core.collector import DnsRecordCollector
-from ..core.htmlverify import HtmlVerifier
-from ..core.matching import ProviderMatcher
-from ..core.pipeline import FilterPipeline
-from ..core.residual_scan import CloudflareScanner, IncapsulaScanner, NameserverHarvest
-from ..net.geo import PAPER_VANTAGE_REGIONS
+from ..core.export import diff_artifacts, study_artifact
+from ..core.study import SixWeekStudy, StudyConfig
 from ..obs.metrics import MetricsRegistry
 from ..scenario import Scenario
 from ..world import SimulatedInternet, WorldConfig
 from .profiles import FaultProfile, profile as lookup_profile
 
-__all__ = ["run_chaos", "diff_artifacts"]
-
-#: Divergences listed in the payload before truncation.
-_MAX_DIVERGENCES = 25
+__all__ = ["run_chaos"]
 
 #: Extra engine days driven after the planes install when an attack
 #: campaign rides along, so the first strikes land (and their emergency
-#: waves fire) before the workloads measure — mid-campaign, never
+#: waves fire) before the day is measured — mid-campaign, never
 #: pre-campaign.  Both worlds drive the identical extra days.
 _ATTACK_SOAK_DAYS = 9
-
-
-def diff_artifacts(
-    baseline: Dict[str, object], chaotic: Dict[str, object]
-) -> List[str]:
-    """Dotted paths where two artifact trees differ (sorted, truncated)."""
-    paths: List[str] = []
-    _diff_into(baseline, chaotic, "", paths)
-    paths.sort()
-    if len(paths) > _MAX_DIVERGENCES:
-        extra = len(paths) - _MAX_DIVERGENCES
-        paths = paths[:_MAX_DIVERGENCES] + [f"... and {extra} more"]
-    return paths
-
-
-def _diff_into(a: object, b: object, prefix: str, out: List[str]) -> None:
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            path = f"{prefix}.{key}" if prefix else str(key)
-            if key not in a:
-                out.append(f"{path} (only in faulty run)")
-            elif key not in b:
-                out.append(f"{path} (only in baseline)")
-            else:
-                _diff_into(a[key], b[key], path, out)
-        return
-    if a != b:
-        out.append(f"{prefix}: {a!r} != {b!r}")
-
-
-def _collection_artifact(snapshot) -> Dict[str, object]:
-    return {
-        str(domain.www): {
-            "a": sorted(str(ip) for ip in domain.a_records),
-            "cnames": [str(c) for c in domain.cnames],
-            "ns": sorted(str(t) for t in domain.ns_targets),
-            "rcode": str(domain.rcode),
-            "measured": domain.measured,
-        }
-        for domain in snapshot
-    }
-
-
-def _pipeline_artifact(report) -> Dict[str, object]:
-    return {
-        "retrieved": report.retrieved,
-        "dropped_ip_filter": report.dropped_ip_filter,
-        "dropped_a_filter": report.dropped_a_filter,
-        "hidden": sorted(
-            (record.www, str(record.address)) for record in report.hidden
-        ),
-        "verified": sorted(report.verified_websites()),
-    }
 
 
 def _run_workloads(
@@ -106,90 +49,41 @@ def _run_workloads(
     traffic: Optional[str] = None,
     attacks: Optional[str] = None,
 ) -> Tuple[Dict[str, object], Dict[str, object]]:
-    """One world, E1 + E8, returning (artifacts, observability).
+    """One world, one measured study day: (artifacts, observability).
 
     ``traffic`` and ``attacks`` install on *both* the baseline and the
     faulty world (the caller passes the same values twice), so the diff
     keeps isolating the fault profile's effect: under load and under
     attack, an equivalence profile must still produce byte-identical
     artifacts.  With an attack campaign the world soaks a few extra
-    days after install so the workloads measure mid-campaign.
+    days after install so the day is measured mid-campaign.
     """
     world = SimulatedInternet(
         WorldConfig(population_size=population, seed=seed)
     )
-    world.engine.run_days(warmup_days)
-    metrics = MetricsRegistry()
+    study = SixWeekStudy(
+        world, StudyConfig(warmup_days=warmup_days, study_days=1)
+    )
+    runtime = study.begin()
     Scenario(traffic=traffic, attacks=attacks).install(world)
     if attacks is not None:
         world.engine.run_days(_ATTACK_SOAK_DAYS)
+    metrics = MetricsRegistry()
     if fault_profile is not None:
         world.install_faults(fault_profile, metrics)
-    hostnames = [str(site.www) for site in world.population]
+    study.collect_day(runtime)
+    study.scan_day(runtime)
+    report = study.finalise(runtime)
 
-    # E1: one cache-purged daily collection pass.
-    resolver = world.make_resolver(metrics=metrics)
-    collector = DnsRecordCollector(resolver)
-    snapshot = collector.collect(hostnames, day=world.clock.day)
-    artifacts: Dict[str, object] = {"e1": _collection_artifact(snapshot)}
-
-    # E8: harvest, Cloudflare sweep, Incapsula tracker, filter pipeline.
-    matcher = ProviderMatcher(world.specs, world.routeviews)
-    verifier = HtmlVerifier(
-        world.http_client(PAPER_VANTAGE_REGIONS[0], metrics=metrics)
-    )
-    harvest = NameserverHarvest()
-    harvest.ingest([snapshot])
-    ns_ips = harvest.resolve_addresses(world.make_resolver(metrics=metrics))
-
-    e8: Dict[str, object] = {
-        "harvested_nameservers": sorted(str(n) for n in harvest.hostnames),
-        "nameserver_addresses": sorted(str(ip) for ip in ns_ips),
-    }
-    if ns_ips and "cloudflare" in world.providers:
-        scanner = CloudflareScanner(
-            ns_ips,
-            [world.dns_client(region, metrics=metrics)
-             for region in PAPER_VANTAGE_REGIONS],
-            rng=world.rng.fork("chaos-e8-scan"),
-            metrics=metrics,
-        )
-        retrieved = scanner.scan(hostnames)
-        e8["cloudflare_retrieved"] = sorted(
-            (record.www, sorted(str(ip) for ip in record.addresses))
-            for record in retrieved
-        )
-        pipeline = FilterPipeline(
-            world.provider("cloudflare").prefixes,
-            world.make_resolver(metrics=metrics),
-            verifier,
-        )
-        e8["cloudflare"] = _pipeline_artifact(
-            pipeline.run(retrieved, "cloudflare", week=0)
-        )
-    if "incapsula" in world.providers:
-        incap = IncapsulaScanner(world.make_resolver(metrics=metrics), matcher)
-        incap.ingest([snapshot])
-        incap_records = incap.scan()
-        incap_pipeline = FilterPipeline(
-            world.provider("incapsula").prefixes,
-            world.make_resolver(metrics=metrics),
-            verifier,
-        )
-        e8["incapsula"] = _pipeline_artifact(
-            incap_pipeline.run(incap_records, "incapsula", week=0)
-        )
-    artifacts["e8"] = e8
-
-    unmeasured = snapshot.unmeasured_count
+    metrics.merge(runtime.collection_resolver.metrics)
+    for client in runtime.vantage_clients:
+        metrics.merge(client.metrics)
     observability = {
         "counters": metrics.snapshot(),
-        "unmeasured_sites": unmeasured,
-        "quarantined_nameservers": [
-            address for address, _, _ in resolver.quarantine.snapshot()
-        ],
+        "unmeasured_sites": report.total_unmeasured,
+        "quarantined_nameservers": report.quarantined_nameservers,
     }
-    return artifacts, observability
+    return study_artifact(report), observability
 
 
 def run_chaos(
@@ -231,7 +125,6 @@ def run_chaos(
         observability["unmeasured_sites"] > 0
         or bool(observability["quarantined_nameservers"])
         or counters.get("resolver.gave_up", 0) > 0
-        or counters.get("http.unanswered", 0) > 0
         or counters.get("client.unanswered", 0) > 0
     )
     if fault_profile.expect_equivalence:
@@ -254,7 +147,6 @@ def run_chaos(
         "retries": {
             "resolver": counters.get("resolver.retries", 0),
             "client": counters.get("client.retries", 0),
-            "http": counters.get("http.retries", 0),
         },
         "unmeasured_sites": observability["unmeasured_sites"],
         "quarantined_nameservers": observability["quarantined_nameservers"],

@@ -4,8 +4,8 @@
 simulated-time timers, threaded through the resolver, the DNS cache, and
 the §V scanners;
 
-:mod:`repro.obs.bench` — the ``repro bench`` harness running the E1
-(daily collection) and E8 (residual scan) workloads and emitting a
+:mod:`repro.obs.bench` — the ``repro bench`` harness running study day
+0's collection (E1) and residual scan (E8) and emitting a
 ``BENCH_<label>.json`` perf-trajectory point.  Imported lazily by the
 CLI — not re-exported here, so that importing :mod:`repro.dns` (which
 uses the metrics) never drags in the world-building machinery.

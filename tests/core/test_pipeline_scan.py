@@ -224,6 +224,34 @@ class TestCloudflareScanner:
         assert retrieved == []
         assert scanner.queries_ignored == 1
 
+    def test_every_hostname_answered_ignored_or_throttled(self, world):
+        """Each swept hostname lands in exactly one outcome counter; with
+        no throttling, every hostname costs exactly one query."""
+        site = _unprotected(world)
+        site.join(world.provider("cloudflare"), ReroutingMethod.NS_BASED)
+        scanner = self._scanner(world)
+        hostnames = [str(s.www) for s in world.population]
+        scanner.scan(hostnames)
+        counters = scanner.metrics.snapshot()
+        assert counters["scan.cloudflare.answered"] > 0
+        assert counters["scan.cloudflare.ignored"] > 0
+        assert (
+            counters["scan.cloudflare.answered"]
+            + counters["scan.cloudflare.ignored"]
+            + counters.get("scan.cloudflare.throttled", 0)
+            == counters["scan.cloudflare.queries"]
+            == len(hostnames)
+        )
+        assert (
+            scanner.queries_answered,
+            scanner.queries_ignored,
+            scanner.queries_throttled,
+        ) == (
+            counters["scan.cloudflare.answered"],
+            counters["scan.cloudflare.ignored"],
+            0,
+        )
+
     def test_needs_nameservers_and_clients(self, world):
         with pytest.raises(ValueError):
             CloudflareScanner([], [world.dns_client()])

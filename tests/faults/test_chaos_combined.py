@@ -1,12 +1,22 @@
 """Chaos composed with the traffic and attack planes.
 
 The ``repro chaos`` harness must keep isolating the fault profile when
-the other planes are installed: an equivalence fault profile stays
-byte-identical under background surge *and* an attack campaign (both
-worlds drive the identical campaign), the attack-aware
-``attack-collateral`` profile degrades explicitly while floods are in
-flight, and switching attacks off leaves the harness byte-identical to
-the pre-attack-plane baseline.
+the other planes are installed.  Each run measures one study day
+(``collect_day`` + ``scan_day``) on two same-seed worlds:
+
+* an equivalence fault profile leaves that measured day byte-identical
+  under background surge *and* an attack campaign (both worlds drive
+  the identical campaign).  The claim is for the one measured day only:
+  across a multi-day study under surge, a lost packet followed by a
+  throttled retry can still quarantine a healthy nameserver (a known
+  resolver defect, pinned as a strict xfail in
+  ``tests/traffic/test_throttle_tolerance.py``);
+* the attack-aware ``attack-collateral`` profile degrades explicitly
+  while floods are in flight;
+* switching attacks off leaves the harness reproducible and
+  attack-free.
+
+The fault, unmeasured-site and quarantine tallies are pinned per case.
 """
 
 import pytest
@@ -31,6 +41,9 @@ class TestEquivalenceUnderCombinedPlanes:
         assert payload["passed"]
         assert payload["identical"]
         assert payload["divergences"] == []
+        assert payload["faults_injected"] == 148
+        assert payload["unmeasured_sites"] == 0
+        assert payload["quarantined_nameservers"] == []
         assert payload["traffic"] == "surge"
         assert payload["attacks"] == "quiet"
 
@@ -48,6 +61,9 @@ class TestEquivalenceUnderCombinedPlanes:
         )
         assert payload["passed"]
         assert payload["identical"]
+        assert payload["faults_injected"] == 162
+        assert payload["unmeasured_sites"] == 0
+        assert payload["quarantined_nameservers"] == []
 
 
 class TestAttackCollateral:
@@ -70,6 +86,11 @@ class TestAttackCollateral:
             or payload["quarantined_nameservers"]
             or payload["counters"].get("resolver.gave_up", 0) > 0
         )
+
+    def test_degradation_tallies_pinned(self, payload):
+        assert payload["faults_injected"] == 603
+        assert payload["unmeasured_sites"] == 12
+        assert len(payload["quarantined_nameservers"]) == 7
 
     def test_divergence_is_reported_not_hidden(self, payload):
         assert not payload["identical"]
@@ -104,3 +125,5 @@ class TestAttackOffBaseline:
         assert payload["attacks"] is None
         assert payload["traffic"] is None
         assert payload["passed"]
+        assert payload["identical"]
+        assert payload["faults_injected"] == 118

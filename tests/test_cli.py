@@ -59,6 +59,14 @@ class TestCommands:
         assert code == 0
         assert "hidden=" in out
 
+    def test_scan_with_nothing_harvested_exits_1(self, capsys):
+        # Three sites carry no Cloudflare delegation: the day's sweep is
+        # recorded as skipped and the command says why.
+        code = main(["scan", "--population", "3", "--seed", "3",
+                     "--warmup", "1"])
+        assert code == 1
+        assert "no nameservers harvested" in capsys.readouterr().out
+
     def test_bench_command(self, capsys, tmp_path):
         out_path = tmp_path / "BENCH_clitest.json"
         code = main([
@@ -268,24 +276,6 @@ class TestShardFlags:
         args = build_parser().parse_args(["kill-matrix"])
         assert args.shards == 1
         assert args.shard_mode == "inline"
-
-    def test_bench_shard_list_parses(self):
-        from repro.cli import _parse_shard_counts
-
-        assert _parse_shard_counts("1,2,4,8") == [1, 2, 4, 8]
-        assert _parse_shard_counts("3") == [3]
-        with pytest.raises(ValueError):
-            _parse_shard_counts("2,0")
-        with pytest.raises(ValueError):
-            _parse_shard_counts("two")
-
-    def test_bench_rejects_bad_shard_list(self, capsys):
-        code = main([
-            "bench", "--population", "50", "--warmup", "1",
-            "--shards", "0",
-        ])
-        assert code == 2
-        assert "--shards" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     @pytest.mark.parametrize("checkpoint", [False, True])
