@@ -78,15 +78,6 @@ class NameserverHarvest:
         """Reinstate the harvest captured by :meth:`state_dict`."""
         self._hostnames = {DomainName(hostname): None for hostname in hostnames}
 
-    def merge(self, other: "NameserverHarvest") -> None:
-        """Absorb another harvest (same marker) into this one.
-
-        Set union; the canonical sorted order makes the result identical
-        no matter how the ingests were partitioned across processes.
-        """
-        for hostname in other._hostnames:
-            self._hostnames.setdefault(hostname)
-
     def resolve_addresses(self, resolver: RecursiveResolver) -> List[IPv4Address]:
         """Resolve each harvested hostname to its (anycast) address.
 

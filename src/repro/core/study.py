@@ -44,6 +44,7 @@ __all__ = [
     "StudyReport",
     "StudyRuntime",
     "SixWeekStudy",
+    "scan_due",
     "shard_bounds",
 ]
 
@@ -93,6 +94,16 @@ class StudyConfig:
     #: dynamic meta; admits false positives) — the ablation DESIGN.md
     #: calls out.
     verifier_strictness: str = "title-and-meta"
+
+
+@pure_function
+def scan_due(config: StudyConfig, day_index: int) -> bool:
+    """Whether study day ``day_index`` carries a weekly §V scan.
+
+    The one scan-day rule: the monolithic day loop and the shard
+    coordinator's lockstep loop both ask it.
+    """
+    return config.run_residual_scans and day_index % config.scan_every_days == 0
 
 
 @dataclass
@@ -349,16 +360,9 @@ class SixWeekStudy:
         method is their exact composition.
         """
         self.collect_day(runtime)
-        if self.scan_due(runtime):
+        if scan_due(self.config, runtime.day_index):
             self.scan_day(runtime)
         self.advance_day(runtime)
-
-    def scan_due(self, runtime: StudyRuntime) -> bool:
-        """Whether the current study day carries a weekly §V scan."""
-        return (
-            self.config.run_residual_scans
-            and runtime.day_index % self.config.scan_every_days == 0
-        )
 
     def collect_day(self, runtime: StudyRuntime) -> None:
         """Phase 1: daily A/CNAME/NS collection over the shard's slice."""

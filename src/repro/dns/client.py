@@ -7,8 +7,8 @@ client goes through the :class:`~repro.net.fabric.NetworkFabric`, so
 anycast addresses land on the PoP matching the client's region.
 
 Queries ride the fabric's fault-aware delivery path and retry transient
-failures (timeouts and ``SERVFAIL``) under a
-:class:`~repro.faults.retry.RetryPolicy`.  ``REFUSED`` is definitive —
+failures (timeouts and ``SERVFAIL``) in the shared
+:class:`~repro.faults.retry.RetryLoop`.  ``REFUSED`` is definitive —
 that is the residual-resolution signal itself, never retried.  The
 ``queries_sent`` counter and the ``client.queries`` metric count logical
 queries (first attempts); retries land in ``client.retries`` so recovery
@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..faults.retry import RetryPolicy, default_retry_rng
+from ..faults.retry import RetryLoop
 from ..net.fabric import NetworkFabric
 from ..net.geo import Region
 from ..net.ipaddr import IPv4Address
 from ..obs.metrics import MetricsRegistry
-from ..rng import SeededRng
 from .message import DnsQuery, DnsResponse, Rcode
 from .name import DomainName
 from .records import RecordType
@@ -39,15 +38,12 @@ class DnsClient:
         self,
         fabric: NetworkFabric,
         region: Optional[Region] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        retry_rng: Optional[SeededRng] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._fabric = fabric
         self.region = region
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self._retry_rng = retry_rng
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._retry = RetryLoop("dns-client", region, self.metrics, "client")
         self.queries_sent = 0
         #: Whether the most recent :meth:`query` was throttled or shed
         #: by provider-side defenses.  Deliberately per-query transient
@@ -56,29 +52,18 @@ class DnsClient:
         #: the same (server, region) path that just refused them.
         self.last_throttled = False
 
-    def _jitter_rng(self) -> SeededRng:
-        if self._retry_rng is None:
-            label = self.region.name if self.region is not None else "global"
-            self._retry_rng = default_retry_rng(f"dns-client-{label}")
-        return self._retry_rng
-
     def state_dict(self) -> Dict[str, object]:
         """Persistent mutable state (counters, jitter position, metrics)."""
         return {
             "queries_sent": self.queries_sent,
-            "retry_rng": (
-                self._retry_rng.getstate() if self._retry_rng is not None else None
-            ),
+            "retry_rng": self._retry.state(),
             "metrics": self.metrics.snapshot(),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Reinstate state captured by :meth:`state_dict`."""
         self.queries_sent = int(state["queries_sent"])
-        if state["retry_rng"] is None:
-            self._retry_rng = None
-        else:
-            self._jitter_rng().setstate(state["retry_rng"])
+        self._retry.restore(state["retry_rng"])
         self.metrics.restore(state["metrics"])
 
     def query(
@@ -104,18 +89,10 @@ class DnsClient:
         self.metrics.incr("client.queries")
         self.last_throttled = False
         query = DnsQuery(DomainName(qname), qtype, recursion_desired=False)
-        policy = self.retry_policy
-        budget = policy.budget()
         response: Optional[DnsResponse] = None
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                budget.charge(policy.backoff_ms(attempt - 1, self._jitter_rng()))
-                if budget.exhausted:
-                    self.metrics.incr("client.budget_exhausted")
-                    break
-                self.metrics.incr("client.retries")
-            delivery = self._fabric.deliver_dns(server_ip, query, self.region)
-            budget.charge(delivery.latency_ms)
+        for _, delivery in self._retry.deliveries(
+            self._fabric.deliver_dns, server_ip, query, self.region
+        ):
             if delivery.outcome in ("throttled", "shed"):
                 self.last_throttled = True
                 self.metrics.incr("client.throttled")

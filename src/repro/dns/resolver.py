@@ -15,7 +15,7 @@ Two behaviours matter specifically for the paper:
   those queries "for service continuity", and in doing so expose origins.
 
 Transport goes through the fabric's fault-aware delivery path: each
-server is tried under a :class:`~repro.faults.retry.RetryPolicy`
+server is tried in the shared :class:`~repro.faults.retry.RetryLoop`
 (timeouts and transient ``SERVFAIL`` retried with seeded-jitter
 backoff), and a server that exhausts its budget triggers failover to the
 next server of the zone — timeout failover, not just the REFUSED
@@ -35,12 +35,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..clock import SimulationClock
 from ..errors import ResolutionError
 from ..faults.quarantine import NameserverQuarantine
-from ..faults.retry import RetryPolicy, default_retry_rng
+from ..faults.retry import RetryLoop
 from ..net.fabric import NetworkFabric
 from ..net.geo import Region
 from ..net.ipaddr import IPv4Address
 from ..obs.metrics import MetricsRegistry
-from ..rng import SeededRng
 from .cache import DnsCache
 from .message import DnsQuery, DnsResponse, Rcode
 from .name import DomainName
@@ -129,8 +128,6 @@ class RecursiveResolver:
         region: Optional[Region] = None,
         cache: Optional[DnsCache] = None,
         metrics: Optional[MetricsRegistry] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        retry_rng: Optional[SeededRng] = None,
         quarantine: Optional[NameserverQuarantine] = None,
     ) -> None:
         if not root_hints:
@@ -143,8 +140,7 @@ class RecursiveResolver:
         #: keeps its own registry (it may be shared with other owners).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = cache if cache is not None else DnsCache(clock, self.metrics)
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self._retry_rng = retry_rng
+        self._retry = RetryLoop("resolver", region, self.metrics, "resolver")
         self.quarantine = (
             quarantine if quarantine is not None else NameserverQuarantine(clock)
         )
@@ -251,9 +247,7 @@ class RecursiveResolver:
         return {
             "queries_sent": self.queries_sent,
             "transient_failures": self._transient_failures,
-            "retry_rng": (
-                self._retry_rng.getstate() if self._retry_rng is not None else None
-            ),
+            "retry_rng": self._retry.state(),
             "quarantine": self.quarantine.snapshot(),
             "metrics": self.metrics.snapshot(),
         }
@@ -262,10 +256,7 @@ class RecursiveResolver:
         """Reinstate state captured by :meth:`state_dict`."""
         self.queries_sent = int(state["queries_sent"])
         self._transient_failures = int(state["transient_failures"])
-        if state["retry_rng"] is None:
-            self._retry_rng = None
-        else:
-            self._jitter_rng().setstate(state["retry_rng"])
+        self._retry.restore(state["retry_rng"])
         self.quarantine.restore(state["quarantine"])
         self.metrics.restore(state["metrics"])
 
@@ -412,12 +403,6 @@ class RecursiveResolver:
 
     # -- transport ----------------------------------------------------------------------
 
-    def _jitter_rng(self) -> SeededRng:
-        if self._retry_rng is None:
-            label = self.region.name if self.region is not None else "global"
-            self._retry_rng = default_retry_rng(f"resolver-{label}")
-        return self._retry_rng
-
     def _query_any(
         self, servers: List[IPv4Address], name: DomainName, rtype: RecordType
     ) -> Optional[DnsResponse]:
@@ -447,7 +432,7 @@ class RecursiveResolver:
     def _query_server(
         self, ip: IPv4Address, name: DomainName, rtype: RecordType
     ) -> Optional[DnsResponse]:
-        """Query one server under the retry policy.
+        """Query one server in the shared retry loop.
 
         Returns its first usable (non-SERVFAIL) response; None when the
         address is dark or the server stayed unresponsive through the
@@ -457,20 +442,12 @@ class RecursiveResolver:
         exactly as the retry-free transport did; retries land in the
         ``resolver.retries`` metric.
         """
-        policy = self.retry_policy
-        budget = policy.budget()
         query = DnsQuery(name, rtype)
         saw_transient = False
         saw_throttle = False
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                budget.charge(policy.backoff_ms(attempt - 1, self._jitter_rng()))
-                if budget.exhausted:
-                    self.metrics.incr("resolver.budget_exhausted")
-                    break
-                self.metrics.incr("resolver.retries")
-            delivery = self._fabric.deliver_dns(ip, query, self.region)
-            budget.charge(delivery.latency_ms)
+        for attempt, delivery in self._retry.deliveries(
+            self._fabric.deliver_dns, ip, query, self.region
+        ):
             if delivery.outcome == "dark":
                 # Nothing listens there — a deterministic condition, not
                 # a transient fault; never retried, never counted.

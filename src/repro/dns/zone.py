@@ -201,15 +201,6 @@ class Zone:
             return [self._soa]
         return list(self._records.get((DomainName(name), rtype), []))
 
-    def records_at(self, name: "DomainName | str") -> List[ResourceRecord]:
-        """Every record at a name, all types."""
-        target = DomainName(name)
-        found: List[ResourceRecord] = []
-        for (record_name, _), bucket in self._records.items():
-            if record_name == target:
-                found.extend(bucket)
-        return found
-
     def name_exists(self, name: "DomainName | str") -> bool:
         """True when any record exists at or below the name (ENT-aware)."""
         target = DomainName(name)

@@ -4,8 +4,9 @@
 Internet forced on the paper's measurement: the substrate can break.
 A :class:`FaultPlan` injects loss, latency, transient ``SERVFAIL``,
 lame delegations, rate limiting, and outage windows at the
-:class:`~repro.net.fabric.NetworkFabric`; a :class:`RetryPolicy`
-threads bounded, seeded-jitter retries through every network client;
+:class:`~repro.net.fabric.NetworkFabric`; one :class:`RetryLoop` under
+the one :data:`RETRY_POLICY` gives every network client bounded,
+seeded-jitter retries;
 and a :class:`NameserverQuarantine` deprioritises servers that stop
 responding until their scheduled re-probe.
 
@@ -19,7 +20,7 @@ from .crash import CRASH_MODES, CrashPlan
 from .plan import FaultKind, FaultPlan, FaultRule, FaultVerdict
 from .profiles import PROFILES, FaultProfile
 from .quarantine import NameserverQuarantine
-from .retry import RetryBudget, RetryPolicy, default_retry_rng
+from .retry import RETRY_POLICY, RetryLoop, RetryPolicy, default_retry_rng
 
 __all__ = [
     "CRASH_MODES",
@@ -31,7 +32,8 @@ __all__ = [
     "FaultProfile",
     "PROFILES",
     "NameserverQuarantine",
-    "RetryBudget",
+    "RETRY_POLICY",
+    "RetryLoop",
     "RetryPolicy",
     "default_retry_rng",
 ]

@@ -16,8 +16,8 @@ Everything is deterministic by construction:
 * time-scoped faults (outage windows, per-day rate limits) read the
   injected :class:`~repro.clock.SimulationClock`, never the wall clock;
 * ``max_consecutive_failures`` caps how many times in a row the plan
-  may fail deliveries to one destination.  A plan whose cap is below a
-  client's :class:`~repro.faults.retry.RetryPolicy` ``max_attempts`` is
+  may fail deliveries to one destination.  A plan whose cap is below
+  :data:`~repro.faults.retry.RETRY_POLICY`'s ``max_attempts`` is
   *within the retry budget*: every query is guaranteed to get through
   on some attempt, so measured artifacts are byte-identical to a
   fault-free run (the ``repro chaos`` equivalence check).
@@ -41,7 +41,7 @@ from ..net.geo import Region
 from ..net.ipaddr import IPv4Address, IPv4Prefix
 from ..obs.metrics import MetricsRegistry
 from ..rng import SeededRng
-from .retry import RetryPolicy
+from .retry import RETRY_POLICY
 
 __all__ = ["FaultKind", "FaultRule", "FaultVerdict", "FaultPlan"]
 
@@ -254,7 +254,7 @@ class FaultPlan:
         """
         within_budget = (
             self.max_consecutive_failures is not None
-            and self.max_consecutive_failures < RetryPolicy().max_attempts
+            and self.max_consecutive_failures < RETRY_POLICY.max_attempts
         )
         return any(
             rule.kind is FaultKind.RATE_LIMIT

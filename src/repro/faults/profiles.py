@@ -9,8 +9,8 @@ after warm-up, right before measurement starts — so day-windowed rules
 are expressed relative to the clock's current day.
 
 Profiles marked ``expect_equivalence`` keep every fault inside the
-retry budget (``max_consecutive_failures`` strictly below the default
-policy's ``max_attempts``, and only retryable fault kinds), so a study
+retry budget (``max_consecutive_failures`` strictly below
+``RETRY_POLICY.max_attempts``, and only retryable fault kinds), so a study
 run under them must produce byte-identical artifacts to a fault-free
 run.  The rest deliberately exceed the budget to exercise graceful
 degradation (UNMEASURED observations, quarantine, partial days).
@@ -25,13 +25,14 @@ from ..clock import DAYS_PER_WEEK
 from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry
 from .plan import FaultKind, FaultPlan, FaultRule
+from .retry import RETRY_POLICY
 
 __all__ = ["FaultProfile", "PROFILES", "profile"]
 
-#: Consecutive-failure cap used by equivalence profiles.  Strictly below
-#: the default RetryPolicy.max_attempts (4): every query gets through on
-#: some attempt, so artifacts match the fault-free run bit for bit.
-_EQUIVALENCE_CAP = 3
+#: Consecutive-failure cap used by equivalence profiles.  One below
+#: RETRY_POLICY.max_attempts: every query gets through on some attempt,
+#: so artifacts match the fault-free run bit for bit.
+_EQUIVALENCE_CAP = RETRY_POLICY.max_attempts - 1
 
 
 @dataclass(frozen=True)

@@ -4,41 +4,47 @@ The paper's measurement ran on the live Internet, where queries time
 out, nameservers throttle, and vantage points fall over.  Every network
 client in the simulation (:class:`~repro.dns.client.DnsClient`, the
 :class:`~repro.dns.resolver.RecursiveResolver` transport, and
-:class:`~repro.web.http.HttpClient`) retries transient failures under a
-:class:`RetryPolicy` before giving up, so a fault-injected run recovers
-exactly the data a fault-free run measures — up to the point where the
-fault rate exceeds the retry budget and the measurement layer must
-degrade explicitly instead.
+:class:`~repro.web.http.HttpClient`) runs its deliveries through one
+attempt loop, :meth:`RetryLoop.deliveries`, under the one policy
+:data:`RETRY_POLICY`, so a fault-injected run recovers exactly the data
+a fault-free run measures — up to the point where the fault rate
+exceeds the retry budget and the measurement layer must degrade
+explicitly instead.  Each transport keeps only its own handling of what
+a delivery's outcome means.
 
-Backoff jitter draws from an injected :class:`~repro.rng.SeededRng`
-stream, never ambient randomness, and all elapsed time is *accounting
-only* — simulated milliseconds charged against the per-destination
-budget.  Nothing here advances the world's
+Backoff jitter draws from a per-transport :class:`~repro.rng.SeededRng`
+stream derived from a stable label, never ambient randomness, and all
+elapsed time is *accounting only* — simulated milliseconds charged
+against the per-destination budget.  Nothing here advances the world's
 :class:`~repro.clock.SimulationClock`, so installing a fault plan can
 never shift TTL expiry or purge horizons.
 
 This module deliberately imports nothing from :mod:`repro.dns` or
-:mod:`repro.net` so the transport layers can import it without cycles.
+:mod:`repro.net` at run time so the transport layers can import it
+without cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Tuple
 
-from ..errors import ConfigurationError
 from ..rng import SeededRng, stable_hash
 
-__all__ = ["RetryPolicy", "RetryBudget", "default_retry_rng"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..net.fabric import Delivery
+    from ..net.geo import Region
+    from ..obs.metrics import MetricsRegistry
+
+__all__ = ["RETRY_POLICY", "RetryLoop", "RetryPolicy", "default_retry_rng"]
 
 
 def default_retry_rng(label: str) -> SeededRng:
-    """A private, reproducible jitter stream for one client instance.
+    """A private, reproducible jitter stream for one transport.
 
-    Clients that are not handed a forked stream by their owner fall back
-    to this: the stream depends only on the label, so every run draws
-    the same jitter sequence.  Jitter is consumed *only* when a retry
-    actually happens, so a fault-free run never touches it.
+    The stream depends only on the label, so every run draws the same
+    jitter sequence.  Jitter is consumed *only* when a retry actually
+    happens, so a fault-free run never touches it.
     """
     return SeededRng(stable_hash("retry-jitter", label))
 
@@ -51,106 +57,107 @@ class RetryPolicy:
     ----------
     max_attempts:
         Total delivery attempts per destination (first try included).
-        Must be at least 1; 1 disables retrying entirely.
     base_backoff_ms:
-        Backoff before the second attempt; doubles (by
-        ``backoff_multiplier``) for each later attempt.
+        Backoff before the second attempt; grows by
+        ``backoff_multiplier`` for each later attempt.
     backoff_multiplier:
         Exponential growth factor for successive backoffs.
     jitter_fraction:
         Each backoff is stretched by up to this fraction, drawn from the
-        client's seeded jitter stream (0 disables jitter).
+        transport's seeded jitter stream.
     budget_ms:
         Per-destination budget in simulated milliseconds.  Injected
         latency and backoff sleep both charge against it; once spent, no
         further attempts are made even if ``max_attempts`` remain.
     """
 
-    max_attempts: int = 4
-    base_backoff_ms: int = 200
-    backoff_multiplier: float = 2.0
-    jitter_fraction: float = 0.5
-    budget_ms: int = 10_000
+    max_attempts: int
+    base_backoff_ms: int
+    backoff_multiplier: float
+    jitter_fraction: float
+    budget_ms: int
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.base_backoff_ms < 0 or self.budget_ms <= 0:
-            raise ConfigurationError("backoff and budget must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigurationError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ConfigurationError(
-                f"jitter_fraction out of range: {self.jitter_fraction}"
-            )
-
-    @classmethod
-    def no_retry(cls) -> "RetryPolicy":
-        """A policy that makes exactly one attempt."""
-        return cls(max_attempts=1)
-
-    def backoff_ms(self, attempt: int, rng: Optional[SeededRng] = None) -> int:
+    def backoff_ms(self, attempt: int, rng: SeededRng) -> int:
         """Backoff charged before attempt ``attempt + 1`` (1-indexed)."""
-        if attempt < 1:
-            raise ConfigurationError(f"attempt must be >= 1, got {attempt}")
         base = self.base_backoff_ms * self.backoff_multiplier ** (attempt - 1)
-        if rng is not None and self.jitter_fraction > 0:
-            base += base * self.jitter_fraction * rng.random()
+        base += base * self.jitter_fraction * rng.random()
         return int(base)
 
-    def budget(self) -> "RetryBudget":
-        """A fresh per-destination budget tracker."""
-        return RetryBudget(self.budget_ms)
+
+#: The one policy every transport retries under.  The equivalence fault
+#: profiles and ``FaultPlan.slice_dependent`` read its ``max_attempts``.
+RETRY_POLICY = RetryPolicy(
+    max_attempts=4,
+    base_backoff_ms=200,
+    backoff_multiplier=2.0,
+    jitter_fraction=0.5,
+    budget_ms=10_000,
+)
 
 
-class RetryBudget:  # repro: allow[REP063] -- one budget per delivery attempt; exhausted and dropped within a single query
-    """Tracks simulated milliseconds spent against one destination."""
+class RetryLoop:  # repro: allow[REP063] -- its only mutable field, the jitter stream, is persisted as the owning transport's "retry_rng" state entry
+    """One transport's attempt loop and its label-derived jitter stream.
 
-    __slots__ = ("limit_ms", "spent_ms")
+    ``kind`` and the transport's region name the jitter stream
+    (``resolver-oregon``, ``dns-client-global``, ...); ``prefix`` names
+    the ``<prefix>.retries`` / ``<prefix>.budget_exhausted`` counters
+    it keeps in ``metrics``.
+    """
 
-    def __init__(self, limit_ms: int) -> None:
-        self.limit_ms = int(limit_ms)
-        self.spent_ms = 0
+    __slots__ = ("_label", "_metrics", "_retries", "_exhausted", "_rng")
 
-    def charge(self, ms: int) -> None:
-        """Record ``ms`` simulated milliseconds of latency or sleep."""
-        if ms > 0:
-            self.spent_ms += int(ms)
+    def __init__(
+        self,
+        kind: str,
+        region: Optional["Region"],
+        metrics: "MetricsRegistry",
+        prefix: str,
+    ) -> None:
+        self._label = f"{kind}-{region.name if region is not None else 'global'}"
+        self._metrics = metrics
+        self._retries = f"{prefix}.retries"
+        self._exhausted = f"{prefix}.budget_exhausted"
+        self._rng: Optional[SeededRng] = None
 
-    @property
-    def exhausted(self) -> bool:
-        """True once the destination's budget has been spent."""
-        return self.spent_ms >= self.limit_ms
+    def deliveries(
+        self, deliver: Callable[..., "Delivery"], *args: object
+    ) -> Iterator[Tuple[int, "Delivery"]]:
+        """Yield ``(attempt, deliver(*args))`` until the caller stops.
 
-    def snapshot(self) -> Tuple[int, int]:
-        """The budget's balance as ``(limit_ms, spent_ms)``."""
-        return (self.limit_ms, self.spent_ms)
-
-    def restore(self, state: "Tuple[int, int] | Sequence[int]") -> None:
-        """Reinstate a balance captured by :meth:`snapshot`.
-
-        Restoring mid-flight keeps every later :meth:`charge` /
-        :attr:`exhausted` decision identical to the uninterrupted
-        budget's — the property the checkpoint plane's round-trip tests
-        pin down.
+        The caller handles each delivery's outcome and returns (or
+        breaks) once it has what it needs; otherwise the next attempt
+        follows.  Before each retry a jittered backoff is charged against
+        the budget: once it is spent the loop counts
+        ``<prefix>.budget_exhausted`` and ends, otherwise it counts
+        ``<prefix>.retries`` and delivers again.  Each delivery's
+        injected latency is charged too.
         """
-        limit_ms, spent_ms = state
-        if limit_ms <= 0 or spent_ms < 0:
-            raise ConfigurationError(
-                f"invalid budget state: limit={limit_ms}, spent={spent_ms}"
-            )
-        self.limit_ms = int(limit_ms)
-        self.spent_ms = int(spent_ms)
+        policy = RETRY_POLICY
+        spent_ms = 0
+        for attempt in range(1, policy.max_attempts + 1):
+            if attempt > 1:
+                spent_ms += policy.backoff_ms(attempt - 1, self._jitter())
+                if spent_ms >= policy.budget_ms:
+                    self._metrics.incr(self._exhausted)
+                    return
+                self._metrics.incr(self._retries)
+            delivery = deliver(*args)
+            if delivery.latency_ms > 0:
+                spent_ms += delivery.latency_ms
+            yield attempt, delivery
 
-    @classmethod
-    def from_snapshot(
-        cls, state: "Tuple[int, int] | Sequence[int]"
-    ) -> "RetryBudget":
-        """Build a budget directly from a :meth:`snapshot` value."""
-        budget = cls(int(state[0]))
-        budget.restore(state)
-        return budget
+    def _jitter(self) -> SeededRng:
+        if self._rng is None:
+            self._rng = default_retry_rng(self._label)
+        return self._rng
+
+    def state(self) -> Optional[list]:
+        """The jitter stream's position; None until a retry first drew."""
+        return self._rng.getstate() if self._rng is not None else None
+
+    def restore(self, state: Optional[list]) -> None:
+        """Reinstate a position captured by :meth:`state`."""
+        if state is None:
+            self._rng = None
+        else:
+            self._jitter().setstate(state)

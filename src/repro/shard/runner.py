@@ -48,7 +48,7 @@ from ..checkpoint.replica import Replica
 from ..checkpoint.serde import config_to_dict
 from ..checkpoint.store import CheckpointStore
 from ..core.residual_scan import NameserverHarvest
-from ..core.study import StudyConfig, StudyReport
+from ..core.study import StudyConfig, StudyReport, scan_due
 from ..errors import (
     CheckpointMismatchError,
     ConfigurationError,
@@ -539,7 +539,7 @@ def _drive_lockstep(
             if day >= config.study_days:
                 break
             executor.call_all("collect")
-            if config.run_residual_scans and day % config.scan_every_days == 0:
+            if scan_due(config, day):
                 name_lists = executor.call_all("harvest_names")
                 campaign_harvest = sorted(
                     {name for names in name_lists for name in names}

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..dns.name import DomainName
-from ..faults.retry import RetryPolicy, default_retry_rng
+from ..faults.retry import RetryLoop
 from ..net.fabric import NetworkFabric
 from ..net.geo import Region
 from ..net.ipaddr import IPv4Address
 from ..obs.metrics import MetricsRegistry
-from ..rng import SeededRng
 
 __all__ = ["HttpRequest", "HttpResponse", "HttpClient", "StatusCode"]
 
@@ -85,41 +84,27 @@ class HttpClient:
         fabric: NetworkFabric,
         source_ip: Optional["IPv4Address | str"] = None,
         region: Optional[Region] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        retry_rng: Optional[SeededRng] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._fabric = fabric
         self.source_ip = IPv4Address(source_ip) if source_ip is not None else None
         self.region = region
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self._retry_rng = retry_rng
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._retry = RetryLoop("http-client", region, self.metrics, "http")
         self.requests_sent = 0
-
-    def _jitter_rng(self) -> SeededRng:
-        if self._retry_rng is None:
-            label = self.region.name if self.region is not None else "global"
-            self._retry_rng = default_retry_rng(f"http-client-{label}")
-        return self._retry_rng
 
     def state_dict(self) -> Dict[str, object]:
         """Persistent mutable state (counters, jitter position, metrics)."""
         return {
             "requests_sent": self.requests_sent,
-            "retry_rng": (
-                self._retry_rng.getstate() if self._retry_rng is not None else None
-            ),
+            "retry_rng": self._retry.state(),
             "metrics": self.metrics.snapshot(),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Reinstate state captured by :meth:`state_dict`."""
         self.requests_sent = int(state["requests_sent"])
-        if state["retry_rng"] is None:
-            self._retry_rng = None
-        else:
-            self._jitter_rng().setstate(state["retry_rng"])
+        self._retry.restore(state["retry_rng"])
         self.metrics.restore(state["metrics"])
 
     def get(
@@ -131,7 +116,7 @@ class HttpClient:
         """GET ``http://host{path}`` from the server at ``ip``.
 
         Transient connection failures (injected loss, outages, rate
-        limiting) are retried under the client's retry policy.  Returns
+        limiting) are retried in the shared retry loop.  Returns
         None when nothing listens at the address or every attempt was
         dropped — a connection timeout at the transport level.
         """
@@ -143,17 +128,9 @@ class HttpClient:
             source_ip=self.source_ip,
             client_region=self.region,
         )
-        policy = self.retry_policy
-        budget = policy.budget()
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                budget.charge(policy.backoff_ms(attempt - 1, self._jitter_rng()))
-                if budget.exhausted:
-                    self.metrics.incr("http.budget_exhausted")
-                    break
-                self.metrics.incr("http.retries")
-            delivery = self._fabric.deliver_http(ip, request, self.region)
-            budget.charge(delivery.latency_ms)
+        for _, delivery in self._retry.deliveries(
+            self._fabric.deliver_http, ip, request, self.region
+        ):
             if delivery.outcome == "dark":
                 # No listener bound — deterministic, never retried.
                 break

@@ -124,10 +124,6 @@ class WorldEngine:
     # Ground-truth summaries (used to validate measurements)
     # ------------------------------------------------------------------
 
-    def events_of_kind(self, kind: BehaviorKind) -> List[BehaviorEvent]:
-        """All logged events of one behaviour kind."""
-        return [event for event in self.events if event.kind is kind]
-
     def daily_counts(self) -> Dict[int, Dict[BehaviorKind, int]]:
         """Events per day per kind — the ground truth behind Fig. 3."""
         table: Dict[int, Dict[BehaviorKind, int]] = {}

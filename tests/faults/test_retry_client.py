@@ -11,7 +11,7 @@ from repro.dns.message import DnsResponse, Rcode
 from repro.dns.name import DomainName
 from repro.dns.records import RecordType
 from repro.dns.resolver import RecursiveResolver
-from repro.faults import FaultKind, FaultPlan, FaultRule, RetryPolicy
+from repro.faults import RETRY_POLICY, FaultKind, FaultPlan, FaultRule
 from repro.net.fabric import NetworkFabric
 from repro.net.ipaddr import IPv4Address
 from repro.obs.metrics import MetricsRegistry
@@ -98,17 +98,7 @@ class TestDnsClientRetry:
         response = client.query(SERVER_IP, WWW)
         assert response is not None and response.rcode is Rcode.SERVFAIL
         assert metrics.value("client.servfail") == 1
-        assert metrics.value("client.retries") == client.retry_policy.max_attempts - 1
-
-    def test_no_retry_policy_gives_single_attempt(self, fabric):
-        fabric.register_dns(SERVER_IP, NxdomainServer())
-        install(fabric, [FaultRule(FaultKind.LOSS, probability=1.0)])
-        metrics = MetricsRegistry()
-        client = DnsClient(
-            fabric, retry_policy=RetryPolicy.no_retry(), metrics=metrics
-        )
-        assert client.query(SERVER_IP, WWW) is None
-        assert metrics.value("client.retries") == 0
+        assert metrics.value("client.retries") == RETRY_POLICY.max_attempts - 1
 
 
 class TestHttpClientRetry:
@@ -163,7 +153,7 @@ class TestResolverFailover:
         assert metrics.value("resolver.failovers") == 1
         assert metrics.value("resolver.unanswered") == 1
         assert metrics.value("resolver.quarantined") == 1
-        assert metrics.value("resolver.retries") == resolver.retry_policy.max_attempts - 1
+        assert metrics.value("resolver.retries") == RETRY_POLICY.max_attempts - 1
         # queries_sent counts logical queries only (one per server).
         assert resolver.queries_sent == 2
 

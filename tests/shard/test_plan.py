@@ -1,7 +1,8 @@
 """The shard plan: exact coverage, balance, loud refusals.
 
-The partition is :func:`~repro.core.study.shard_bounds`, pure arithmetic
-every party recomputes; the topology refusals are
+The partition is :func:`~repro.core.study.shard_bounds` and the weekly
+scan day :func:`~repro.core.study.scan_due`, pure arithmetic every
+party recomputes; the topology refusals are
 :func:`~repro.shard.run_sharded_study`'s, raised before any world is
 built, store written or worker started.
 """
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.study import shard_bounds
+from repro.core.study import StudyConfig, scan_due, shard_bounds
 from repro.errors import ConfigurationError
 from repro.shard import run_sharded_study
 
@@ -112,3 +113,20 @@ class TestShardPlan:
             start,
             start + sizes[shard_index],
         )
+
+
+class TestScanDay:
+    def test_weekly_from_day_zero(self):
+        config = StudyConfig(study_days=15)
+        due = [day for day in range(config.study_days) if scan_due(config, day)]
+        assert due == [0, 7, 14]
+
+    def test_custom_cadence(self):
+        config = StudyConfig(scan_every_days=3)
+        assert [scan_due(config, day) for day in range(4)] == [
+            True, False, False, True
+        ]
+
+    def test_no_scans_when_residual_scans_are_off(self):
+        config = StudyConfig(run_residual_scans=False)
+        assert not any(scan_due(config, day) for day in range(14))
