@@ -1,15 +1,16 @@
-"""API-hygiene rules (REP020–REP022).
+"""API-hygiene rules (REP020–REP023).
 
 Convention violations that do not corrupt determinism by themselves but
 reliably hide the bugs that do: shared mutable defaults, exception
 handlers that swallow :class:`~repro.errors.ReproError` subclasses
-indiscriminately, and public modules without an explicit ``__all__``.
+indiscriminately, public modules without an explicit ``__all__``, and
+imports nothing uses.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Set
 
 from .findings import Severity
 from .rules import ModuleContext, Rule, register
@@ -18,6 +19,7 @@ __all__ = [
     "MutableDefaultRule",
     "OverBroadExceptRule",
     "MissingAllRule",
+    "UnusedImportRule",
 ]
 
 _MUTABLE_CALLS = frozenset({"list", "dict", "set"})
@@ -153,3 +155,92 @@ class MissingAllRule(Rule):
                 "public module defines names but no __all__; declare "
                 "the public surface explicitly",
             )
+
+
+@register
+class UnusedImportRule(Rule):
+    """REP023: unused import.
+
+    An import nothing reads is dead weight that outlives the code it
+    once served, and it hides real dependencies among stale ones.  A
+    name counts as used when the module reads it, when it appears in a
+    string annotation (``"StudyRuntime"``), or when ``__all__``
+    re-exports it.  Package ``__init__.py`` modules are exempt: their
+    imports are the package's re-exported surface.
+    """
+
+    rule_id = "REP023"
+    title = "unused import"
+    severity = Severity.WARNING
+    exempt_basenames = frozenset({"__init__.py"})
+
+    def check(self, module: ModuleContext) -> Iterator:
+        used = self._used_names(module.tree)
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                bindings = [
+                    (alias, alias.asname or alias.name.split(".")[0])
+                    for alias in node.names
+                ]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bindings = [
+                    (alias, alias.asname or alias.name)
+                    for alias in node.names
+                    if alias.name != "*"
+                ]
+            else:
+                continue
+            for alias, bound in bindings:
+                if bound not in used:
+                    # Aliases carry their own line from Python 3.10 on.
+                    yield self.finding(
+                        module,
+                        alias if hasattr(alias, "lineno") else node,
+                        f"'{bound}' is imported but never used; delete "
+                        "the import",
+                    )
+
+    @classmethod
+    def _used_names(cls, tree: ast.Module) -> Set[str]:
+        used: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.arg) and node.annotation is not None:
+                used |= cls._string_annotation_names(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.returns is not None:
+                    used |= cls._string_annotation_names(node.returns)
+            elif isinstance(node, ast.AnnAssign):
+                used |= cls._string_annotation_names(node.annotation)
+            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign) else [node.target]
+                )
+                if any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in targets
+                ):
+                    used |= {
+                        element.value
+                        for element in ast.walk(node.value)
+                        if isinstance(element, ast.Constant)
+                        and isinstance(element.value, str)
+                    }
+        return used
+
+    @staticmethod
+    def _string_annotation_names(annotation: ast.AST) -> Set[str]:
+        """Names read inside the string parts of one annotation."""
+        names: Set[str] = set()
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value.strip(), mode="eval")
+                except SyntaxError:
+                    continue
+                names |= {
+                    inner.id
+                    for inner in ast.walk(parsed)
+                    if isinstance(inner, ast.Name)
+                }
+        return names

@@ -14,7 +14,8 @@ directory: a mismatched seed, and a mismatched profile in each of the
 scenario's planes, must raise
 :class:`CheckpointMismatchError`, a torn journal tail must be
 *tolerated* (resume from the previous barrier, still byte-identical),
-and a corrupted snapshot must raise :class:`CheckpointCorruptError`.
+and a corrupted snapshot — the newest, or an earlier barrier's delta
+that the resume folds — must raise :class:`CheckpointCorruptError`.
 """
 
 from __future__ import annotations
@@ -253,12 +254,26 @@ def _refusal_checks(
             }
         )
 
-    # Corrupted snapshot: flip one byte in the newest snapshot body.
+    # Corrupted mid-journal delta: resume folds every barrier up to the
+    # newest, so damage to an earlier barrier's file must refuse too.
+    # The byte is flipped back afterwards, leaving the newest-snapshot
+    # check below to stand on its own.
     snapshots = sorted(store_dir.glob("snapshot-*.json"))
-    target = snapshots[-1]
-    body = bytearray(target.read_bytes())
-    body[len(body) // 2] ^= 0xFF
-    target.write_bytes(bytes(body))  # repro: allow[REP031] -- deliberately corrupting a snapshot to prove the refusal path
+    earlier = snapshots[(len(snapshots) - 1) // 2]
+    _flip_middle_byte(earlier)
+    checks.append(
+        _expect_refusal(
+            "corrupt-mid-journal-delta",
+            reference_dir,
+            inputs,
+            CheckpointCorruptError,
+            reopen,
+        )
+    )
+    _flip_middle_byte(earlier)
+
+    # Corrupted snapshot: flip one byte in the newest snapshot body.
+    _flip_middle_byte(snapshots[-1])
     checks.append(
         _expect_refusal(
             "corrupt-snapshot",
@@ -269,6 +284,13 @@ def _refusal_checks(
         )
     )
     return checks
+
+
+def _flip_middle_byte(path: Path) -> None:
+    """Invert one byte mid-file; a second call restores the original."""
+    body = bytearray(path.read_bytes())
+    body[len(body) // 2] ^= 0xFF
+    path.write_bytes(bytes(body))  # repro: allow[REP031] -- deliberately corrupting a snapshot to prove the refusal path
 
 
 def _expect_refusal(

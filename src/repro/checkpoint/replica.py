@@ -22,7 +22,14 @@ from ..errors import (
 )
 from ..faults.crash import CrashPlan
 from ..scenario import Scenario
-from .serde import config_to_dict, restore_runtime, serialize_runtime
+from .serde import (
+    NameTable,
+    config_to_dict,
+    fold_snapshots,
+    restore_runtime,
+    serialize_runtime,
+    series_lengths,
+)
 from .store import CheckpointStore
 
 __all__ = ["Replica"]
@@ -38,6 +45,12 @@ class Replica:
     unless its manifest records exactly these inputs and this identity.
     Construction then builds and warms the world; a resumed replica is
     placed on its trajectory with :meth:`seek`.
+
+    The replica keeps a committed-row cursor: the report's series
+    lengths at the newest barrier it committed or passed.  A barrier
+    journals only the rows appended after it, and :meth:`seek` folds the
+    journal's barriers back.  Rows decode through :attr:`names`, the
+    replica's own name table.
     """
 
     def __init__(
@@ -53,6 +66,7 @@ class Replica:
         crash_plan: Optional[CrashPlan] = None,
     ) -> None:
         self.crash_plan = crash_plan
+        self.names = NameTable()
         self.store: Optional[CheckpointStore] = None
         self._records: List[Dict[str, object]] = []
         if checkpoint_dir is not None:
@@ -77,15 +91,21 @@ class Replica:
         self.study, self.runtime = scenario.begin_study(
             population, seed, config, index, count
         )
+        self._cursor = series_lengths(self.runtime.report)
 
     def commit(self) -> int:
         """Commit the barrier before the runtime's next study day.
 
-        A barrier the journal already holds is never re-appended, so a
-        resumed replica leaves the journal's history untouched.  Returns
-        the newest committed barrier.
+        The barrier journals the rows appended since the cursor plus the
+        small state, then the cursor advances.  A barrier the journal
+        already holds (a sharded resume replaying past its own journal)
+        is never re-appended, so a resumed replica leaves the journal's
+        history untouched; it still advances the cursor, once the rows
+        replayed so far match what that barrier committed.  Returns the
+        newest committed barrier.
         """
         barrier = self.runtime.day_index
+        lengths = series_lengths(self.runtime.report)
         if barrier > self.latest_barrier:
             if self.crash_plan is not None:
                 self.crash_plan.fire_if_due(barrier, "before-commit")
@@ -95,28 +115,45 @@ class Replica:
                     barrier=barrier,
                     day=clock.day,
                     clock_now=clock.now,
-                    state=serialize_runtime(self.study, self.runtime),
+                    state=serialize_runtime(self.study, self.runtime, self._cursor),
+                    lengths=lengths,
                 )
             if self.crash_plan is not None:
                 self.crash_plan.fire_if_due(barrier, "after-commit")
             self.latest_barrier = barrier
+        elif lengths != self._records[barrier]["lengths"]:
+            raise CheckpointCorruptError(
+                f"replayed barrier {barrier} holds series lengths {lengths} "
+                f"but the journal committed {self._records[barrier]['lengths']}"
+            )
+        self._cursor = lengths
         return self.latest_barrier
 
     def seek(self, barrier: int) -> None:
-        """Replay the world to a committed barrier and overlay its snapshot."""
+        """Replay the world to a committed barrier and fold its journal.
+
+        Barriers ``0..barrier`` are loaded (each hash-verified) and
+        folded into that barrier's whole state, which is overlaid on the
+        replayed runtime.
+        """
         if not 0 <= barrier <= self.latest_barrier:
             raise CheckpointError(
                 f"replica was asked to seek to barrier {barrier} but its "
                 f"journal holds barriers up to {self.latest_barrier}"
             )
-        state = self.store.load_snapshot(self._records[barrier])
+        records = self._records[: barrier + 1]
+        state = fold_snapshots(
+            [self.store.load_snapshot(record) for record in records],
+            [record["lengths"] for record in records],
+        )
         self.replay(
             int(state["day_index"]),
             int(state["clock_now"]),
             CheckpointCorruptError,
             "the snapshot",
         )
-        restore_runtime(self.study, self.runtime, state)
+        restore_runtime(self.study, self.runtime, state, self.names)
+        self._cursor = series_lengths(self.runtime.report)
 
     def replay(
         self,

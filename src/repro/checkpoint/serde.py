@@ -1,4 +1,4 @@
-"""Serialize/restore the study runtime for checkpoint snapshots.
+"""Serialize/restore the study runtime for checkpoint barriers.
 
 The snapshot carries the *measurement layer's* mutable state only.  The
 world itself is never serialized: world dynamics draw exclusively from
@@ -10,6 +10,16 @@ overlays the measurement state restored here.  The replica
 replayed clock position; drift means the two processes did not share a
 trajectory and the resume is refused.
 
+The report's per-day series (:data:`SERIES`) are append-only: a day,
+once measured, is never rewritten.  A barrier snapshot therefore holds
+only the rows appended since the previous barrier, plus the small state
+that really does change each day; :func:`fold_snapshots` folds barriers
+``0..N`` back into the state a from-scratch :func:`serialize_runtime`
+would give at ``N``.  One row codec serves the barrier delta, the fold,
+the shard worker payload and the coordinator's overlay; decoding goes
+through a :class:`NameTable`, so each distinct name or address is
+parsed once per replica rather than once per row.
+
 Everything here round-trips through JSON, with insertion order
 preserved wherever order is behaviourally load-bearing (snapshot
 domain maps, harvested nameservers, Incapsula canonicals).
@@ -17,7 +27,7 @@ domain maps, harvested nameservers, Incapsula canonicals).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..core.collector import DailySnapshot, DomainSnapshot
 from ..core.pipeline import HiddenRecord, PipelineReport
@@ -32,12 +42,29 @@ from ..scenario import installed_planes
 
 __all__ = [
     "SERDE_REGISTRY",
+    "SERIES",
+    "NameTable",
     "config_to_dict",
+    "series_lengths",
     "report_partial_to_dict",
     "restore_report_partial",
     "serialize_runtime",
+    "fold_snapshots",
     "restore_runtime",
 ]
+
+#: The report's append-only per-day/per-week series, in codec order.
+#: The daily loop only ever appends to them, so a barrier journals the
+#: rows past its cursor and the fold concatenates them back.
+SERIES = (
+    "snapshots",
+    "observations",
+    "unmeasured_daily_counts",
+    "partial_days",
+    "skipped_scan_weeks",
+    "cloudflare_weekly",
+    "incapsula_weekly",
+)
 
 #: Every class whose mutable state this module can carry across a
 #: checkpoint barrier — either through the object's own
@@ -95,6 +122,40 @@ def config_to_dict(config: StudyConfig) -> Dict[str, object]:
     }
 
 
+# -- names -----------------------------------------------------------------
+
+
+class NameTable:
+    """Memoised decode of the names and addresses report rows carry.
+
+    A campaign's rows name the same few hundred sites, nameservers and
+    addresses day after day; rebuilding a :class:`DomainName` (parse,
+    validate, hash) or an :class:`IPv4Address` per row made decoding the
+    dominant cost of a resume or a shard overlay.  Each replica owns one
+    table for its world, so decoded values are shared within a replica
+    and never across worlds.  Both types are immutable, so sharing one
+    instance between rows is indistinguishable from building each anew.
+    """
+
+    __slots__ = ("_names", "_addresses")
+
+    def __init__(self) -> None:
+        self._names: Dict[str, DomainName] = {}
+        self._addresses: Dict[str, IPv4Address] = {}
+
+    def name(self, text: str) -> DomainName:
+        name = self._names.get(text)
+        if name is None:
+            name = self._names[text] = DomainName(text)
+        return name
+
+    def address(self, text: str) -> IPv4Address:
+        address = self._addresses.get(text)
+        if address is None:
+            address = self._addresses[text] = IPv4Address(text)
+        return address
+
+
 # -- per-type converters ---------------------------------------------------
 
 
@@ -110,13 +171,15 @@ def _domain_to_dict(snapshot: DomainSnapshot) -> Dict[str, object]:
     }
 
 
-def _domain_from_dict(payload: Dict[str, object]) -> DomainSnapshot:
+def _domain_from_dict(
+    payload: Dict[str, object], names: NameTable
+) -> DomainSnapshot:
     return DomainSnapshot(
         day=int(payload["day"]),
-        www=DomainName(payload["www"]),
-        a_records=tuple(IPv4Address(a) for a in payload["a"]),
-        cnames=tuple(DomainName(c) for c in payload["cnames"]),
-        ns_targets=tuple(DomainName(n) for n in payload["ns"]),
+        www=names.name(payload["www"]),
+        a_records=tuple(names.address(a) for a in payload["a"]),
+        cnames=tuple(names.name(c) for c in payload["cnames"]),
+        ns_targets=tuple(names.name(n) for n in payload["ns"]),
         rcode=Rcode(payload["rcode"]),
         measured=bool(payload["measured"]),
     )
@@ -130,11 +193,10 @@ def _daily_to_dict(snapshot: DailySnapshot) -> Dict[str, object]:
     }
 
 
-def _daily_from_dict(payload: Dict[str, object]) -> DailySnapshot:
+def _daily_from_dict(payload: Dict[str, object], names: NameTable) -> DailySnapshot:
     daily = DailySnapshot(day=int(payload["day"]))
     for entry in payload["domains"]:
-        domain = _domain_from_dict(entry)
-        daily.domains[str(domain.www)] = domain
+        daily.domains[entry["www"]] = _domain_from_dict(entry, names)
     return daily
 
 
@@ -159,6 +221,16 @@ def _observation_from_list(entry: List[object]) -> DpsObservation:
     )
 
 
+def _observations_to_list(day: Dict[str, DpsObservation]) -> List[List[object]]:
+    return [_observation_to_list(www, obs) for www, obs in day.items()]
+
+
+def _observations_from_list(
+    day: List[List[object]], names: NameTable
+) -> Dict[str, DpsObservation]:
+    return {entry[0]: _observation_from_list(entry) for entry in day}
+
+
 def _pipeline_to_dict(report: PipelineReport) -> Dict[str, object]:
     return {
         "provider": report.provider,
@@ -173,7 +245,9 @@ def _pipeline_to_dict(report: PipelineReport) -> Dict[str, object]:
     }
 
 
-def _pipeline_from_dict(payload: Dict[str, object]) -> PipelineReport:
+def _pipeline_from_dict(
+    payload: Dict[str, object], names: NameTable
+) -> PipelineReport:
     return PipelineReport(
         provider=payload["provider"],
         week=int(payload["week"]),
@@ -181,86 +255,100 @@ def _pipeline_from_dict(payload: Dict[str, object]) -> PipelineReport:
         dropped_ip_filter=int(payload["dropped_ip_filter"]),
         dropped_a_filter=int(payload["dropped_a_filter"]),
         hidden=[
-            HiddenRecord(www, provider, IPv4Address(address), bool(verified), reason)
+            HiddenRecord(www, provider, names.address(address), bool(verified), reason)
             for www, provider, address, verified, reason in payload["hidden"]
         ],
     )
 
 
+def _int_row(value: object, names: Optional[NameTable] = None) -> int:
+    return int(value)
+
+
+#: series -> (encode one row, decode one row through a NameTable).
+_ROW_CODEC = {
+    "snapshots": (_daily_to_dict, _daily_from_dict),
+    "observations": (_observations_to_list, _observations_from_list),
+    "unmeasured_daily_counts": (_int_row, _int_row),
+    "partial_days": (_int_row, _int_row),
+    "skipped_scan_weeks": (_int_row, _int_row),
+    "cloudflare_weekly": (_pipeline_to_dict, _pipeline_from_dict),
+    "incapsula_weekly": (_pipeline_to_dict, _pipeline_from_dict),
+}
+
+
 # -- report (daily-loop partial) -------------------------------------------
 
 
-def report_partial_to_dict(report) -> Dict[str, object]:
+def series_lengths(report) -> Dict[str, int]:
+    """How many rows each append-only series holds: a row cursor."""
+    return {series: len(getattr(report, series)) for series in SERIES}
+
+
+def report_partial_to_dict(
+    report, since: Optional[Mapping[str, int]] = None
+) -> Dict[str, object]:
     """The report fields the daily loop accumulates, as JSON primitives.
 
-    This is the payload unit both planes exchange: the checkpoint
-    snapshot embeds it per barrier, and a shard worker ships it to the
-    coordinator at the end of its slice's campaign.  Derived analyses
-    (adoption, pauses, exposure summary, ground truth) are excluded —
+    With ``since`` (a :func:`series_lengths` cursor) each series carries
+    only the rows appended after the cursor — a barrier's delta; without
+    it, every row — the shard worker's payload unit.  Derived analyses
+    (adoption, pauses, exposure summary, ground truth) are excluded:
     :meth:`SixWeekStudy.finalise` recomputes them from this state.
+    ``partial_scan_weeks`` is a per-week tally a later scan may raise,
+    so it is always carried whole.
     """
-    return {
-        "snapshots": [_daily_to_dict(s) for s in report.snapshots],
-        "observations": [
-            [_observation_to_list(www, obs) for www, obs in day.items()]
-            for day in report.observations
-        ],
-        "unmeasured_daily_counts": list(report.unmeasured_daily_counts),
-        "partial_days": list(report.partial_days),
-        "skipped_scan_weeks": list(report.skipped_scan_weeks),
-        "partial_scan_weeks": sorted(
-            [week, count] for week, count in report.partial_scan_weeks.items()
-        ),
-        "cloudflare_weekly": [
-            _pipeline_to_dict(w) for w in report.cloudflare_weekly
-        ],
-        "incapsula_weekly": [
-            _pipeline_to_dict(w) for w in report.incapsula_weekly
-        ],
-    }
+    partial: Dict[str, object] = {}
+    for series in SERIES:
+        encode = _ROW_CODEC[series][0]
+        start = since[series] if since is not None else 0
+        partial[series] = [encode(row) for row in getattr(report, series)[start:]]
+    partial["partial_scan_weeks"] = sorted(
+        [week, count] for week, count in report.partial_scan_weeks.items()
+    )
+    return partial
 
 
-def restore_report_partial(report, partial: Dict[str, object]) -> None:
-    """Overlay a :func:`report_partial_to_dict` payload onto a report."""
-    report.snapshots = [_daily_from_dict(s) for s in partial["snapshots"]]
-    report.observations = [
-        {entry[0]: _observation_from_list(entry) for entry in day}
-        for day in partial["observations"]
-    ]
-    report.unmeasured_daily_counts = [
-        int(count) for count in partial["unmeasured_daily_counts"]
-    ]
-    report.partial_days = [int(day) for day in partial["partial_days"]]
-    report.skipped_scan_weeks = [int(w) for w in partial["skipped_scan_weeks"]]
+def restore_report_partial(
+    report, partial: Dict[str, object], names: Optional[NameTable] = None
+) -> None:
+    """Overlay a whole :func:`report_partial_to_dict` payload onto a report.
+
+    Names and addresses decode through ``names`` — the replica's table —
+    or a fresh one.
+    """
+    names = names if names is not None else NameTable()
+    for series in SERIES:
+        decode = _ROW_CODEC[series][1]
+        setattr(report, series, [decode(row, names) for row in partial[series]])
     report.partial_scan_weeks = {
         int(week): int(count)
         for week, count in partial["partial_scan_weeks"]
     }
-    report.cloudflare_weekly = [
-        _pipeline_from_dict(w) for w in partial["cloudflare_weekly"]
-    ]
-    report.incapsula_weekly = [
-        _pipeline_from_dict(w) for w in partial["incapsula_weekly"]
-    ]
 
 
 # -- runtime ---------------------------------------------------------------
 
 
-def serialize_runtime(study: SixWeekStudy, runtime: StudyRuntime) -> Dict[str, object]:
-    """The barrier snapshot: everything a resumed process must restore.
+def serialize_runtime(
+    study: SixWeekStudy,
+    runtime: StudyRuntime,
+    since: Optional[Mapping[str, int]] = None,
+) -> Dict[str, object]:
+    """The barrier snapshot: the rows since ``since`` plus the small state.
 
-    Only fields the daily loop *mutates* are captured; everything the
-    post-loop analyses derive (adoption, pauses, exposure summary,
-    ground truth) is recomputed by :meth:`SixWeekStudy.finalise` on the
-    restored state.
+    ``since`` is the row cursor of the previous barrier (``None``: every
+    row, the whole state a resumed process must restore).  Only fields
+    the daily loop *mutates* are captured; everything the post-loop
+    analyses derive (adoption, pauses, exposure summary, ground truth)
+    is recomputed by :meth:`SixWeekStudy.finalise` on the restored state.
     """
     world = study.world
     return {
         "clock_now": world.clock.now,
         "day_index": runtime.day_index,
         "study_start_day": runtime.study_start_day,
-        "report": report_partial_to_dict(runtime.report),
+        "report": report_partial_to_dict(runtime.report, since),
         "collector": runtime.collector.state_dict(),
         "verifier": runtime.verifier.state_dict(),
         "harvest": runtime.harvest.state_dict(),
@@ -291,10 +379,41 @@ def serialize_runtime(study: SixWeekStudy, runtime: StudyRuntime) -> Dict[str, o
     }
 
 
+def fold_snapshots(
+    snapshots: Sequence[Dict[str, object]],
+    lengths: Sequence[Mapping[str, int]],
+) -> Dict[str, object]:
+    """Fold barrier snapshots ``0..N`` into barrier ``N``'s whole state.
+
+    The result equals what :func:`serialize_runtime` without a cursor
+    would have written at barrier ``N``: every series is the
+    concatenation of the barriers' deltas, everything else is barrier
+    ``N``'s.  ``lengths[k]`` is the cumulative row count barrier ``k``'s
+    journal record committed; a delta that does not continue its
+    predecessor exactly raises :class:`CheckpointCorruptError`.
+    """
+    rows: Dict[str, List[object]] = {series: [] for series in SERIES}
+    for barrier, (snapshot, committed) in enumerate(zip(snapshots, lengths)):
+        for series in SERIES:
+            rows[series].extend(snapshot["report"][series])
+        folded = {series: len(rows[series]) for series in SERIES}
+        if folded != dict(committed):
+            raise CheckpointCorruptError(
+                f"barrier {barrier} snapshot folds to series lengths "
+                f"{folded} but its journal record committed {dict(committed)}; "
+                "the barrier deltas do not continue one another"
+            )
+    last = snapshots[-1]
+    return dict(last, report=dict(last["report"], **rows))
+
+
 def restore_runtime(
-    study: SixWeekStudy, runtime: StudyRuntime, state: Dict[str, object]
+    study: SixWeekStudy,
+    runtime: StudyRuntime,
+    state: Dict[str, object],
+    names: Optional[NameTable] = None,
 ) -> None:
-    """Overlay a barrier snapshot's measurement state onto a runtime.
+    """Overlay a whole (folded) barrier state onto a runtime.
 
     ``runtime`` must come from :meth:`SixWeekStudy.begin` on a world
     rebuilt with the checkpoint's inputs and replayed to the snapshot's
@@ -309,7 +428,7 @@ def restore_runtime(
         )
     runtime.day_index = int(state["day_index"])
 
-    restore_report_partial(runtime.report, state["report"])
+    restore_report_partial(runtime.report, state["report"], names)
 
     runtime.collector.restore_state(state["collector"])
     runtime.verifier.restore_state(state["verifier"])

@@ -12,16 +12,22 @@ A checkpoint directory holds three kinds of files:
     report that looks valid and is garbage.
 
 ``snapshot-NNNN.json``
-    The serialized study runtime at barrier ``NNNN``, written atomically
-    (tmp + fsync + rename via :mod:`repro.io`) and content-hashed.
+    Barrier ``NNNN``'s delta: the report rows appended since barrier
+    ``NNNN-1`` plus the small state that changes each day (clock,
+    measurement objects, planes), written atomically (tmp + fsync +
+    rename via :mod:`repro.io`) and content-hashed.  Resume folds
+    barriers ``0..NNNN`` back into the whole state, so every file up to
+    the resumed barrier is read and hash-checked.
 
 ``journal.jsonl``
     The write-ahead journal: one line per *committed* barrier, appended
     durably (write + flush + fsync) only after its snapshot is safely on
-    disk.  Each record carries its own hash and the manifest hash.  A
-    torn final line — the signature of a crash mid-append — is discarded
-    on replay; a bad line anywhere *else* means tampering or bit rot and
-    raises :class:`~repro.errors.CheckpointCorruptError`.
+    disk.  Each record carries the cumulative series lengths (so the
+    fold can check that deltas continue one another), its own hash and
+    the manifest hash.  A torn final line — the signature of a crash
+    mid-append — is discarded on replay; a bad line anywhere *else*
+    means tampering or bit rot and raises
+    :class:`~repro.errors.CheckpointCorruptError`.
 """
 
 from __future__ import annotations
@@ -49,8 +55,10 @@ __all__ = [
 
 #: Bump on any incompatible change to manifest/journal/snapshot layout.
 #: Version 2 replaced the per-plane profile fields with one ``scenario``
-#: entry; older stores are refused, never misread.
-SCHEMA_VERSION = 2
+#: entry; version 3 made snapshots per-barrier deltas whose journal
+#: records carry cumulative series lengths.  Older stores are refused,
+#: never misread.
+SCHEMA_VERSION = 3
 
 MANIFEST_NAME = "MANIFEST.json"
 JOURNAL_NAME = "journal.jsonl"
@@ -62,6 +70,7 @@ _RECORD_FIELDS = (
     "clock_now",
     "snapshot",
     "snapshot_hash",
+    "lengths",
     "manifest_hash",
 )
 
@@ -85,6 +94,8 @@ class CheckpointStore:
         self.directory = Path(directory)
         self.manifest = manifest
         self.manifest_hash = content_hash(manifest)
+        #: The barrier :meth:`append_barrier` accepts next.
+        self._next_barrier = 0
 
     # -- construction --------------------------------------------------
 
@@ -146,7 +157,11 @@ class CheckpointStore:
                 f"checkpoint schema {version!r} is not the supported "
                 f"schema {SCHEMA_VERSION}"
             )
-        return cls(directory, manifest)
+        store = cls(directory, manifest)
+        records = store.barriers()
+        store._next_barrier = len(records)
+        store._drop_torn_tail(len(records))
+        return store
 
     # -- identity ------------------------------------------------------
 
@@ -191,7 +206,13 @@ class CheckpointStore:
         return self.directory / JOURNAL_NAME
 
     def append_barrier(
-        self, *, barrier: int, day: int, clock_now: int, state: Dict[str, object]
+        self,
+        *,
+        barrier: int,
+        day: int,
+        clock_now: int,
+        state: Dict[str, object],
+        lengths: Dict[str, int],
     ) -> Dict[str, object]:
         """Commit one barrier: snapshot first, then the journal record.
 
@@ -199,12 +220,13 @@ class CheckpointStore:
         atomically durable *before* its journal record exists, so every
         committed record points at a complete snapshot.  A crash between
         the two leaves an orphan snapshot file, which replay ignores.
+        ``lengths`` is the report's cumulative series lengths at this
+        barrier (see :func:`~repro.checkpoint.serde.fold_snapshots`).
         """
-        records = self.barriers()
-        expected = records[-1]["barrier"] + 1 if records else 0
-        if barrier != expected:
+        if barrier != self._next_barrier:
             raise CheckpointError(
-                f"barrier {barrier} out of order; journal expects {expected}"
+                f"barrier {barrier} out of order; journal expects "
+                f"{self._next_barrier}"
             )
         body = canonical_json(state)
         snapshot_name = f"snapshot-{barrier:04d}.json"
@@ -217,10 +239,12 @@ class CheckpointStore:
             "snapshot_hash": hashlib.blake2b(
                 body.encode("utf-8"), digest_size=16
             ).hexdigest(),
+            "lengths": dict(lengths),
             "manifest_hash": self.manifest_hash,
         }
         record["record_hash"] = content_hash({k: record[k] for k in _RECORD_FIELDS})
         append_durable_line(self.journal_path, canonical_json(record))
+        self._next_barrier = barrier + 1
         return record
 
     def barriers(self) -> List[Dict[str, object]]:
@@ -253,6 +277,22 @@ class CheckpointStore:
                 )
             records.append(record)
         return records
+
+    def _drop_torn_tail(self, committed: int) -> None:
+        """Rewrite the journal as its ``committed`` lines alone.
+
+        A torn final line has no newline, so the next durable append
+        would otherwise run on from it: the new record would join the
+        garbage line and be lost, and the append after it would leave
+        that garbage mid-journal, where it reads as corruption.
+        """
+        if not self.journal_path.exists():
+            return
+        text = self.journal_path.read_text(encoding="utf-8")
+        lines = text.splitlines()[:committed]
+        kept = "".join(line + "\n" for line in lines)
+        if kept != text:
+            atomic_write_text(self.journal_path, kept)
 
     def _parse_record(self, line: str, is_tail: bool) -> Optional[Dict[str, object]]:
         """One journal line → record; None for a discarded torn tail."""

@@ -15,7 +15,7 @@ how the paper's authors identified them operationally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..world.admin import BehaviorKind
 from .status import DpsObservation, DpsStatus

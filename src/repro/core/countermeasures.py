@@ -21,7 +21,6 @@ Customer side:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..dps.provider import DpsProvider
 from ..dps.residual_policy import (

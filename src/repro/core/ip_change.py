@@ -18,7 +18,7 @@ meta, firewalled origins), so measured rates are lower bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 from ..world.admin import BehaviorKind
 from .behaviors import MeasuredBehavior

@@ -7,7 +7,7 @@ and 1M-scaled equivalents so shapes can be compared directly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..world.admin import BehaviorKind
 from .pause import empirical_cdf

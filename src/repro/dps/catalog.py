@@ -12,7 +12,7 @@ simulated Internet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..clock import SimulationClock

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 from ..clock import SECONDS_PER_DAY, SimulationClock
 from ..dns.authoritative import AnswerPolicy, AuthoritativeServer
-from ..dns.message import DnsQuery, DnsResponse, Rcode
+from ..dns.message import DnsQuery, DnsResponse
 from ..dns.name import DomainName
 from ..dns.records import RecordType, a_record, ns_record
 from ..dns.resolver import RecursiveResolver

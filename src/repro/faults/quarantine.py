@@ -15,7 +15,7 @@ server is ever quarantined and the ordering is untouched.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..clock import SECONDS_PER_HOUR, SimulationClock
 from ..errors import ConfigurationError

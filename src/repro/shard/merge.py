@@ -26,9 +26,13 @@ replayed the same world.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..checkpoint.serde import report_partial_to_dict, restore_report_partial
+from ..checkpoint.serde import (
+    NameTable,
+    report_partial_to_dict,
+    restore_report_partial,
+)
 from ..core.study import SixWeekStudy, StudyRuntime
 from ..errors import ShardError
 from ..faults.quarantine import NameserverQuarantine
@@ -130,14 +134,18 @@ def merge_payloads(payloads: Sequence[Dict[str, object]]) -> Dict[str, object]:
 
 
 def overlay_merged(
-    study: SixWeekStudy, runtime: StudyRuntime, merged: Dict[str, object]
+    study: SixWeekStudy,
+    runtime: StudyRuntime,
+    merged: Dict[str, object],
+    names: Optional[NameTable] = None,
 ) -> None:
     """Seat the merged campaign state in a coordinator runtime.
 
     ``runtime`` must come from an *unsharded* :meth:`SixWeekStudy.begin`
     on a world rebuilt from the same ``(seed, population)`` and replayed
     ``day_index`` engine days — the shard-runner's analogue of the
-    checkpoint plane's world replay.  After the overlay,
+    checkpoint plane's world replay.  The merged rows decode through
+    ``names``, the coordinator replica's name table.  After the overlay,
     :meth:`SixWeekStudy.finalise` produces the campaign report.
     """
     if runtime.shard_count != 1:
@@ -152,7 +160,7 @@ def overlay_merged(
             f"starting at day {merged['study_start_day']}"
         )
     runtime.day_index = int(merged["day_index"])
-    restore_report_partial(runtime.report, merged["report"])
+    restore_report_partial(runtime.report, merged["report"], names)
     runtime.harvest.restore_state(merged["harvest"])
     runtime.exposure.restore_state(merged["exposure"])
     runtime.scan_pop_totals = {

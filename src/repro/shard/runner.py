@@ -598,5 +598,7 @@ def _campaign(
         ShardError,
         "the workers",
     )
-    overlay_merged(coordinator.study, coordinator.runtime, merged)
+    overlay_merged(
+        coordinator.study, coordinator.runtime, merged, coordinator.names
+    )
     return coordinator.study.finalise(coordinator.runtime)

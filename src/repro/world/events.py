@@ -13,7 +13,7 @@ hours, which aggregated behaviours into visible spikes (§IV-B-3);
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, TYPE_CHECKING
 
 from ..clock import SECONDS_PER_HOUR, SimulationClock
 from ..rng import SeededRng

@@ -10,7 +10,7 @@ origin as "not a DPS address".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from ..dns.authoritative import AuthoritativeServer

@@ -152,8 +152,6 @@ class Website:
         if not (self.has_dev_subdomain or self.has_mx_leak):
             return
         zone = self.hosting.zone_of(self.apex)
-        from ..dns.records import RecordType
-
         if self.has_dev_subdomain:
             zone.set_a(self.apex.child(self.leak_label), self.origin.ip, ttl=SECONDS_PER_HOUR)
         if self.has_mx_leak:

@@ -22,8 +22,9 @@ def project(tmp_path, monkeypatch):
 
 
 def write_dirty(project):
+    # One REP001 violation; the import is read so REP023 stays quiet.
     (project / "pkg" / "dirty.py").write_text(
-        "import random\n", encoding="utf-8"
+        "import random\n_RNG = random\n", encoding="utf-8"
     )
 
 
@@ -138,7 +139,8 @@ class TestDualCoverage:
         from repro.analysis import Analyzer
 
         (project / "pkg" / "dirty.py").write_text(
-            "import random  # repro: allow[REP001] -- fixture exception\n",
+            "import random  # repro: allow[REP001] -- fixture exception\n"
+            "_RNG = random\n",
             encoding="utf-8",
         )
         result = Analyzer(root=str(project), select=["REP001"]).analyze(

@@ -35,6 +35,7 @@ from repro.analysis.hygiene import (
     MissingAllRule,
     MutableDefaultRule,
     OverBroadExceptRule,
+    UnusedImportRule,
 )
 from repro.analysis.robustness import DirectStateWriteRule, UnboundedRetryRule
 from repro.analysis.shardrules import (
@@ -56,6 +57,7 @@ EXPORTED_RULES = {
     "REP020": MutableDefaultRule,
     "REP021": OverBroadExceptRule,
     "REP022": MissingAllRule,
+    "REP023": UnusedImportRule,
     "REP030": UnboundedRetryRule,
     "REP031": DirectStateWriteRule,
     "REP040": TransitiveNondeterminismRule,

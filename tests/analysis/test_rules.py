@@ -353,13 +353,89 @@ class TestRep022MissingAll:
         assert lint("import os\n_cache = {}\n", select=["REP022"]) == []
 
 
+class TestRep023UnusedImport:
+    def test_unused_import(self, lint):
+        findings = lint("import os\n", select=["REP023"])
+        assert rule_ids(findings) == ["REP023"]
+        assert "'os'" in findings[0].message
+
+    def test_only_the_unused_names_of_an_import_are_reported(self, lint):
+        source = """
+        from typing import Dict, List, Set
+
+        def f(x: List[int]) -> int:
+            return len(x)
+        """
+        findings = lint(source, select=["REP023"])
+        assert rule_ids(findings) == ["REP023", "REP023"]
+        assert [finding.line for finding in findings] == [2, 2]
+        assert "'Dict'" in findings[0].message
+        assert "'Set'" in findings[1].message
+
+    def test_dotted_import_binds_its_top_package(self, lint):
+        assert lint("import os.path\nos.sep\n", select=["REP023"]) == []
+        findings = lint("import os.path as p\n", select=["REP023"])
+        assert "'p'" in findings[0].message
+
+    def test_unused_function_local_import(self, lint):
+        source = """
+        def f():
+            from os import sep
+            return 1
+        """
+        assert rule_ids(lint(source, select=["REP023"])) == ["REP023"]
+
+    def test_attribute_and_annotation_uses_are_clean(self, lint):
+        source = """
+        import json
+        from typing import Optional
+
+        def f(x: Optional[int]) -> str:
+            return json.dumps(x)
+        """
+        assert lint(source, select=["REP023"]) == []
+
+    def test_string_annotation_use_is_clean(self, lint):
+        source = """
+        from typing import TYPE_CHECKING, Iterable
+
+        if TYPE_CHECKING:
+            from .study import StudyRuntime
+
+        def f(runtime: "StudyRuntime", names: "str | Iterable[str]") -> "StudyRuntime":
+            return runtime
+
+        held: "Iterable[StudyRuntime]" = ()
+        """
+        assert lint(source, select=["REP023"]) == []
+
+    def test_all_reexport_is_clean(self, lint):
+        source = """
+        from os import sep
+
+        __all__ = ["sep"]
+        """
+        assert lint(source, select=["REP023"]) == []
+
+    def test_package_init_is_exempt(self, lint):
+        assert lint("from os import sep\n", filename="__init__.py",
+                    select=["REP023"]) == []
+
+    def test_future_and_star_imports_are_ignored(self, lint):
+        source = """
+        from __future__ import annotations
+        from os.path import *
+        """
+        assert lint(source, select=["REP023"]) == []
+
+
 class TestRegistry:
-    def test_default_pack_has_twenty_five_rules(self):
-        # 10 per-module REP00x/01x/02x, REP030/REP031, the four REP04x
+    def test_default_pack_has_twenty_six_rules(self):
+        # 11 per-module REP00x/01x/02x, REP030/REP031, the four REP04x
         # project rules, REP050 (stale inline suppression), the four
         # REP06x shard-safety project rules, and the four REP07x
         # purity/effect project rules.
-        assert len(default_registry()) == 25
+        assert len(default_registry()) == 26
 
     def test_unknown_select_raises(self, tmp_path):
         with pytest.raises(AnalysisError):

@@ -28,6 +28,7 @@ class TestKillMatrix:
             "mismatched-traffic": True,
             "mismatched-attacks": True,
             "torn-journal-tail": True,
+            "corrupt-mid-journal-delta": True,
             "corrupt-snapshot": True,
         }
         assert payload["passed"] is True

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from repro.checkpoint.serde import SERIES, fold_snapshots
 from repro.checkpoint.store import (
     SCHEMA_VERSION,
     CheckpointStore,
@@ -132,6 +133,28 @@ class TestScenarioIdentity:
             )
 
 
+    def test_schema_2_manifest_is_refused_not_misread(self, tmp_path):
+        from repro.checkpoint import resume_study
+        from repro.core.study import StudyConfig
+
+        # Schema 2 kept the whole report in every snapshot; its journal
+        # records carry no series lengths for the fold to check.
+        store = make_store(tmp_path / "ckpt")
+        legacy = dict(store.manifest, schema_version=2)
+        (tmp_path / "ckpt" / "MANIFEST.json").write_text(
+            canonical_json(legacy) + "\n"
+        )
+        with pytest.raises(CheckpointSchemaError, match="schema 2"):
+            CheckpointStore.open(tmp_path / "ckpt")
+        with pytest.raises(CheckpointSchemaError):
+            resume_study(
+                tmp_path / "ckpt",
+                population=150,
+                seed=11,
+                config=StudyConfig(warmup_days=8, study_days=3),
+            )
+
+
 class TestVerifyInputs:
     @pytest.fixture
     def store(self, tmp_path):
@@ -173,6 +196,7 @@ class TestJournal:
             day=10 + barrier,
             clock_now=(10 + barrier) * 86_400,
             state=state if state is not None else {"barrier": barrier},
+            lengths={"rows": barrier},
         )
 
     def test_append_and_replay(self, tmp_path):
@@ -204,6 +228,17 @@ class TestJournal:
         records = store.barriers()
         assert [r["barrier"] for r in records] == [0, 1]
         assert store.latest()["barrier"] == 1
+
+    def test_appends_after_a_torn_tail_stay_readable(self, tmp_path):
+        store = make_store(tmp_path / "ckpt")
+        self.append(store, 0)
+        self.append(store, 1)
+        with open(store.journal_path, "a", encoding="utf-8") as handle:
+            handle.write('{"barrier": 2, "tor')
+        reopened = CheckpointStore.open(tmp_path / "ckpt")
+        self.append(reopened, 2)
+        self.append(reopened, 3)
+        assert [r["barrier"] for r in reopened.barriers()] == [0, 1, 2, 3]
 
     def test_valid_json_with_bad_hash_tail_discarded(self, tmp_path):
         store = make_store(tmp_path / "ckpt")
@@ -241,12 +276,97 @@ class TestJournal:
         with pytest.raises(CheckpointCorruptError, match="refusing to resume"):
             store.load_snapshot(record)
 
+    def test_append_keeps_its_place_without_rereading_the_journal(
+        self, tmp_path, monkeypatch
+    ):
+        store = make_store(tmp_path / "ckpt")
+
+        def reread():
+            raise AssertionError("append_barrier re-read the journal")
+
+        monkeypatch.setattr(store, "barriers", reread)
+        for barrier in range(3):
+            self.append(store, barrier)
+        with pytest.raises(CheckpointError, match="journal expects 3"):
+            self.append(store, 4)
+
+    def test_open_resumes_appending_after_the_last_record(self, tmp_path):
+        self.append(make_store(tmp_path / "ckpt"), 0)
+        reopened = CheckpointStore.open(tmp_path / "ckpt")
+        with pytest.raises(CheckpointError, match="out of order"):
+            self.append(reopened, 0)
+        self.append(reopened, 1)
+        assert [r["barrier"] for r in reopened.barriers()] == [0, 1]
+
+    def test_record_carries_cumulative_lengths(self, tmp_path):
+        store = make_store(tmp_path / "ckpt")
+        self.append(store, 0)
+        self.append(store, 1)
+        assert [r["lengths"] for r in store.barriers()] == [
+            {"rows": 0},
+            {"rows": 1},
+        ]
+
     def test_missing_snapshot_refused(self, tmp_path):
         store = make_store(tmp_path / "ckpt")
         record = self.append(store, 0)
         (tmp_path / "ckpt" / record["snapshot"]).unlink()
         with pytest.raises(CheckpointCorruptError, match="missing snapshot"):
             store.load_snapshot(record)
+
+
+class TestFold:
+    def snapshot(self, rows, partial_scan_weeks=()):
+        report = {series: [] for series in SERIES}
+        report.update(rows, partial_scan_weeks=list(partial_scan_weeks))
+        return {"day_index": len(rows.get("snapshots", [])), "report": report}
+
+    def test_deltas_concatenate_and_newest_small_state_wins(self):
+        first = self.snapshot({"partial_days": [3]}, [[0, 1]])
+        second = self.snapshot({"partial_days": [4, 5]}, [[0, 2]])
+        folded = fold_snapshots(
+            [first, second],
+            [
+                dict(dict.fromkeys(SERIES, 0), partial_days=1),
+                dict(dict.fromkeys(SERIES, 0), partial_days=3),
+            ],
+        )
+        assert folded["report"]["partial_days"] == [3, 4, 5]
+        assert folded["report"]["partial_scan_weeks"] == [[0, 2]]
+        assert folded["day_index"] == second["day_index"]
+
+    def test_delta_that_does_not_continue_is_corrupt(self):
+        first = self.snapshot({"partial_days": [3]})
+        second = self.snapshot({"partial_days": [4]})
+        with pytest.raises(CheckpointCorruptError, match="barrier 1"):
+            fold_snapshots(
+                [first, second],
+                [
+                    dict(dict.fromkeys(SERIES, 0), partial_days=1),
+                    dict(dict.fromkeys(SERIES, 0), partial_days=3),
+                ],
+            )
+
+
+class TestDamagedDelta:
+    def test_corrupt_mid_journal_delta_refuses_resume(self, tmp_path):
+        from repro.checkpoint import resume_study, run_checkpointed_study
+        from repro.core.study import StudyConfig
+
+        inputs = dict(
+            population=150,
+            seed=11,
+            config=StudyConfig(warmup_days=8, study_days=3),
+        )
+        run_checkpointed_study(tmp_path / "ckpt", **inputs)
+        # Barrier 1 is neither the first nor the newest (3): only a
+        # resume that folds every delta reads it.
+        path = tmp_path / "ckpt" / "snapshot-0001.json"
+        body = bytearray(path.read_bytes())
+        body[len(body) // 2] ^= 0xFF
+        path.write_bytes(bytes(body))
+        with pytest.raises(CheckpointCorruptError, match="snapshot-0001"):
+            resume_study(tmp_path / "ckpt", **inputs)
 
 
 class TestCanonicalJson:

@@ -41,6 +41,7 @@ class TestShardedKillMatrix:
             "mismatched-traffic": True,
             "mismatched-attacks": True,
             "torn-journal-tail": True,
+            "corrupt-mid-journal-delta": True,
             "corrupt-snapshot": True,
         }
         assert payload["passed"] is True

@@ -15,8 +15,10 @@ scenario shards — must reproduce it.
 The checkpoint stores those durable routes leave behind are pinned the
 same way (:data:`STORE_GOLDEN`): manifests, journals and snapshots are
 an on-disk format a later build must resume, so their bytes may not
-drift either.  These digests were recorded before the checkpointed and
-sharded routes were put on one durable replica.
+drift either.  They were re-pinned when the store moved to schema 3,
+whose snapshots hold each barrier's delta rows and whose journal
+records carry cumulative series lengths; the artifact digests above
+did not move.
 """
 
 import hashlib
@@ -114,17 +116,17 @@ STORE_GOLDEN = {
     "checkpointed-off": (
         "checkpointed",
         Scenario(),
-        "8c66bfcfa12341b5c31b8ff55eedb62d91ddeb6128af64871956c76e022b97d5",
+        "0758fc9d08b01aa196245054c507e3dc660b212f3ed926e6faf16fa10f39bc36",
     ),
     "checkpointed-hostile": (
         "checkpointed",
         GOLDEN["hostile"][0],
-        "b9c742aaafe73752b8b5cf2befbcf398da675540e5439bf5dee882e856ba464c",
+        "5848e1de3e99a317c0a021cef229d1067347997ac95d4342c774d794d5d5fb62",
     ),
     "sharded-off": (
         "sharded",
         Scenario(),
-        "59a214400be7040fbd8ba42829abb83e0c5ba555eb9f912d57018fb96fd6a24a",
+        "da3dd8ac6eae4630e48c9da87a6843efef0348562e92234cbc44c6a62aebfe58",
     ),
 }
 
